@@ -74,104 +74,98 @@ def test_runtime_per_opamp(once, benchmark):
     print(f"  wrote {BENCH_JSON.name}")
 
 
-def _bench_mesh(side):
-    """DC-heavy workload: a ``side x side`` resistor grid with a corner
-    supply and a diagonal of diode-connected NMOS loads (nonlinear, so
-    Newton actually iterates).  At side 32 the MNA system has ~1k
-    unknowns -- far above the sparse threshold."""
-    from repro.circuit import GROUND, Circuit
-
-    c = Circuit(f"bench_mesh{side}")
-
-    def node(i, j):
-        return GROUND if i == 0 and j == 0 else f"n{i}_{j}"
-
-    k = 0
-    for i in range(side):
-        for j in range(side):
-            if i + 1 < side:
-                c.add_resistor(f"rv{k}", node(i, j), node(i + 1, j), 1e3 + k)
-                k += 1
-            if j + 1 < side:
-                c.add_resistor(f"rh{k}", node(i, j), node(i, j + 1), 1e3 + k)
-                k += 1
-    c.add_vsource("vdd", node(side - 1, side - 1), GROUND, dc=5.0)
-    for m in range(1, 9):
-        c.add_mosfet(
-            f"m{m}",
-            node(m, m),
-            node(m, m),
-            GROUND,
-            GROUND,
-            "nmos",
-            width=50e-6,
-            length=10e-6,
-        )
-    return c
+#: Verification phases, each timed by its ``verify:<phase>`` span.
+VERIFY_PHASES = ("offset", "ac", "swing", "slew")
 
 
-def _dc_batch_measurements(side=32):
-    """Time the cache-cold corner batch under both numeric backends.
+def _verify_run(amp, count_evaluations):
+    """One traced ``verify_opamp`` call: (wall_ms, phase_ms, counters).
 
-    Returns backend -> (wall_ms, counters, results).  Each backend gets
-    one small warm-up solve first so lazy imports (scipy.sparse.linalg)
-    and first-call overheads don't pollute the cold-path timing; the
-    result cache stays off throughout, so every measured solve is a
-    genuine cold evaluation.
+    MOSFET model evaluations are counted by wrapping
+    ``MosfetModel.evaluate`` only when ``count_evaluations`` is set, so
+    the timed run carries no wrapper overhead.
     """
-    import os
-
-    from repro.batch import corner_operating_points
+    from repro.devices.mosfet import MosfetModel
     from repro.obs import Tracer
+    from repro.opamp.verify import verify_opamp
 
+    original = MosfetModel.evaluate
+    evaluations = [0]
+
+    def counted(self, *args, **kwargs):
+        evaluations[0] += 1
+        return original(self, *args, **kwargs)
+
+    if count_evaluations:
+        MosfetModel.evaluate = counted
+    tracer = Tracer()
+    try:
+        start = time.perf_counter()
+        with tracer.activate():
+            verify_opamp(amp)
+        wall_ms = (time.perf_counter() - start) * 1e3
+    finally:
+        MosfetModel.evaluate = original
+    phase_ms = {
+        phase: sum(
+            s.duration_ms for s in tracer.spans if s.name == f"verify:{phase}"
+        )
+        for phase in VERIFY_PHASES
+    }
+    counters = {
+        "dc_solves": tracer.metrics.counter_total("dc.solves"),
+        "newton_iterations": tracer.metrics.counter_total("dc.newton.iterations"),
+        "lu_solves": tracer.metrics.counter_total("dc.lu_solves"),
+        "dc_failures": tracer.metrics.counter_total("dc.failures"),
+    }
+    if count_evaluations:
+        counters["mosfet_evaluations"] = evaluations[0]
+    return wall_ms, phase_ms, counters
+
+
+def _verify_measurements():
+    """Per paper case: a timed verification, then a counted one."""
     measurements = {}
-    for backend, forced in (("scalar", True), ("vectorized", False)):
-        if forced:
-            os.environ["REPRO_DENSE_ASSEMBLY"] = "1"
-        else:
-            os.environ.pop("REPRO_DENSE_ASSEMBLY", None)
-        try:
-            corner_operating_points(_bench_mesh(4), CMOS_5UM)  # warm-up
-            circuit = _bench_mesh(side)
-            tracer = Tracer()
-            start = time.perf_counter()
-            with tracer.activate():
-                results = corner_operating_points(circuit, CMOS_5UM)
-            wall_ms = (time.perf_counter() - start) * 1e3
-            counters = {
-                name: tracer.metrics.counter_total(name)
-                for name in ("dc.lu_solves", "dc.newton.iterations", "dc.solves")
-            }
-            measurements[backend] = (wall_ms, counters, results)
-        finally:
-            os.environ.pop("REPRO_DENSE_ASSEMBLY", None)
+    for label, spec in sorted(paper_test_cases().items()):
+        amp = synthesize(spec, CMOS_5UM).best
+        wall_ms, phase_ms, counters = _verify_run(amp, count_evaluations=False)
+        _, _, counted = _verify_run(amp, count_evaluations=True)
+        measurements[label] = (wall_ms, phase_ms, counters, counted)
     return measurements
 
 
-def test_dc_batch_vectorized_speedup(once, benchmark):
-    """Acceptance for the vectorized sparse core: >= 10x on the
-    cache-cold, DC-heavy corner batch, with the Newton trajectory
-    provably unchanged (iteration and LU-solve counters match the
-    scalar reference exactly)."""
-    measurements = once(benchmark, _dc_batch_measurements)
-    scalar_ms, scalar_counters, scalar_ops = measurements["scalar"]
-    vector_ms, vector_counters, vector_ops = measurements["vectorized"]
-    speedup = scalar_ms / vector_ms
+def test_verify_phase_breakdown(once, benchmark):
+    """Verification of cases A/B/C, phase by phase: the wall time of
+    ``verify_opamp``, each phase's span time, and the DC-solver and
+    device-model counters that explain them.  CI gates the counters
+    against the committed baseline exactly and the ``*_ms`` leaves with
+    ``repro slo --check-bench``."""
+    measurements = once(benchmark, _verify_measurements)
+    section = {}
     print()
-    print(
-        f"  corner batch (3 corners, mesh 32x32): scalar {scalar_ms:8.1f} ms, "
-        f"vectorized {vector_ms:7.1f} ms ({speedup:.1f}x)"
-    )
-    print(f"  counters scalar={scalar_counters} vectorized={vector_counters}")
-
-    # Same trajectory, not merely a nearby answer: counter parity +-0.
-    assert vector_counters == scalar_counters
-    for corner, reference in scalar_ops.items():
-        fast = vector_ops[corner]
-        assert fast.iterations == reference.iterations
-        for node_name, voltage in reference.voltages.items():
-            assert abs(fast.voltages[node_name] - voltage) < 1e-6
-    assert speedup >= 10.0, f"vectorized core only {speedup:.1f}x faster"
+    for label, (wall_ms, phase_ms, counters, counted) in measurements.items():
+        # The counted rerun must take the same solver trajectory.
+        assert {k: counted[k] for k in counters} == counters, label
+        assert counters["dc_failures"] == 0, label
+        assert counters["lu_solves"] == counters["newton_iterations"], label
+        assert counted["mosfet_evaluations"] > 0, label
+        assert all(spent > 0.0 for spent in phase_ms.values()), label
+        assert sum(phase_ms.values()) <= wall_ms, label
+        section[label] = {
+            "verify_ms": round(wall_ms, 3),
+            **{f"{phase}_ms": round(spent, 3) for phase, spent in phase_ms.items()},
+            "dc_solves": counters["dc_solves"],
+            "newton_iterations": counters["newton_iterations"],
+            "lu_solves": counters["lu_solves"],
+            "mosfet_evaluations": counted["mosfet_evaluations"],
+        }
+        print(
+            f"  verify {label}: {wall_ms:7.1f} ms ("
+            + ", ".join(f"{p} {phase_ms[p]:.1f}" for p in VERIFY_PHASES)
+            + f"); {counters['dc_solves']:.0f} DC solves, "
+            f"{counters['newton_iterations']:.0f} Newton iterations, "
+            f"{counted['mosfet_evaluations']} MOSFET evaluations"
+        )
 
     if BENCH_JSON.exists():
         data = json.loads(BENCH_JSON.read_text(encoding="utf-8"))
@@ -182,20 +176,11 @@ def test_dc_batch_vectorized_speedup(once, benchmark):
             "python": platform.python_version(),
             "cases": {},
         }
-    data["dc_batch"] = {
-        "corners": sorted(scalar_ops),
-        "mesh_side": 32,
-        "scalar_ms": round(scalar_ms, 3),
-        "vectorized_ms": round(vector_ms, 3),
-        "speedup": round(speedup, 3),
-        "newton_iterations": scalar_counters["dc.newton.iterations"],
-        "lu_solves": scalar_counters["dc.lu_solves"],
-        "counters_match": vector_counters == scalar_counters,
-    }
+    data["verify"] = section
     BENCH_JSON.write_text(
         json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    print(f"  merged dc_batch into {BENCH_JSON.name}")
+    print(f"  merged verify into {BENCH_JSON.name}")
 
 
 #: The bundled foreign decks the TOPO6xx acceptance criterion names.

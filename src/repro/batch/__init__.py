@@ -27,7 +27,6 @@ CLI use: ``repro batch --testcase A --sweep gain=60:80:5 --jobs 4
 --cache --out results.jsonl`` (see ``repro batch --help``).
 """
 
-from .corners import corner_operating_points
 from .engine import (
     BatchResult,
     VOLATILE_KEYS,
@@ -62,5 +61,4 @@ __all__ = [
     "run_batch",
     "synthesize_many",
     "default_jobs",
-    "corner_operating_points",
 ]

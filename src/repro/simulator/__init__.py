@@ -12,11 +12,15 @@ models, providing
   transient_analysis`;
 * measurement helpers (gain, UGF, phase margin, swing, slew),
   :mod:`repro.simulator.analysis`.
+
+Every analysis runs on one numeric path: the compiled stamp plan of
+:mod:`repro.simulator.assembly`, dense ``np.linalg.solve``, and a single
+DC Newton loop (:func:`~repro.simulator.dc.newton_solve`).  The only
+numeric dependency is numpy.
 """
 
 from .mna import MnaSystem, OperatingPointResult
 from .dc import operating_point
-from .batched import stacked_operating_points
 from .ac import ACResult, ac_analysis
 from .noise import NoiseResult, noise_analysis
 from .op_report import op_report
@@ -36,7 +40,6 @@ __all__ = [
     "MnaSystem",
     "OperatingPointResult",
     "operating_point",
-    "stacked_operating_points",
     "ACResult",
     "ac_analysis",
     "NoiseResult",

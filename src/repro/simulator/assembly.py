@@ -1,53 +1,28 @@
 """Vectorized array-oriented MNA assembly: the simulator's hot path.
 
-The scalar reference stampers in :mod:`repro.simulator.mna` walk
-``circuit.elements`` one device at a time and accumulate into dense
-matrices through Python closures.  That is the right *specification* --
-obvious, auditable, byte-for-byte pinned by the golden suite -- but it
-is O(elements) Python bytecode per Newton iteration and O(n^2) memory
-traffic per assembly.
-
-This module compiles a circuit's stamp pattern **once** per
-:class:`~repro.simulator.mna.MnaSystem` into a :class:`StampPlan`:
+:class:`StampPlan` compiles a circuit's stamp pattern **once** per
+:class:`~repro.simulator.mna.MnaSystem`:
 
 * devices grouped by type into index/value arrays (resistor terminal
   indices, MOSFET terminal indices, source rows...);
 * one global COO entry list per assembly kind (DC Jacobian, DC
-  residual, AC matrix) recorded in **exactly** the scalar stamping
-  order, so a single ``np.add.at`` scatter reproduces the reference
-  accumulation bit for bit (``np.add.at`` applies duplicate indices
-  sequentially in entry order);
-* a cached symbolic CSC layout (:class:`_SparsePattern`) -- computed
-  once and reused across every Newton iteration and every retry-ladder
-  rung that shares the system -- so large circuits factor with
-  ``scipy.sparse.linalg.splu`` instead of dense LU.
+  residual, AC matrix) recorded in **exactly** the order of a
+  one-device-at-a-time element walk, so a single ``np.add.at`` scatter
+  reproduces that walk's floating-point accumulation bit for bit
+  (``np.add.at`` applies duplicate indices sequentially in entry
+  order).
 
-Dispatch policy (see :meth:`MnaSystem.assemble_dc_system`):
-
-* ``REPRO_DENSE_ASSEMBLY=1`` forces the scalar reference path
-  everywhere -- the escape hatch the differential oracle and the
-  golden byte-identity suite run both backends through;
-* systems below :func:`sparse_threshold` unknowns (default 64, env
-  ``REPRO_SPARSE_THRESHOLD``) assemble vectorized-dense and solve with
-  ``np.linalg.solve`` -- bit-identical to the reference, so every
-  bundled op amp, golden record and cache key is unchanged;
-* larger systems (flattened hierarchies, foreign decks, meshes)
-  assemble straight into CSC and solve via ``splu``.
-
-:func:`solve_linear` gives both backends one error taxonomy: a SuperLU
-failure is re-raised as :class:`numpy.linalg.LinAlgError`, so the
-retry ladder's singular-Jacobian handling is backend-agnostic (chaos
-site ``dc.sparse`` injects exactly that failure).
+Every Newton iteration, retry-ladder rung and AC frequency of a system
+reuses the plan; the assembled matrices are dense and are solved with
+``np.linalg.solve``.  The scalar element walk the plan must match lives
+in ``tests/mna_reference.py`` as the differential-testing oracle.
 """
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from ..circuit.elements import (
     Capacitor,
@@ -57,63 +32,12 @@ from ..circuit.elements import (
     VoltageSource,
 )
 from ..errors import SimulationError
-from ..resilience.faults import fault_point
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..devices.mosfet import MosfetModel, MosfetOperatingPoint
     from .mna import MnaSystem
 
-__all__ = [
-    "DENSE_ASSEMBLY_ENV",
-    "SPARSE_THRESHOLD_ENV",
-    "DEFAULT_SPARSE_THRESHOLD",
-    "StampPlan",
-    "dense_assembly_forced",
-    "sparse_threshold",
-    "solve_linear",
-]
-
-#: Set to ``"1"`` to force the scalar reference assembly + dense LU
-#: everywhere (the differential-testing escape hatch).
-DENSE_ASSEMBLY_ENV = "REPRO_DENSE_ASSEMBLY"
-#: Unknown-count at which assembly/solves go sparse.
-SPARSE_THRESHOLD_ENV = "REPRO_SPARSE_THRESHOLD"
-DEFAULT_SPARSE_THRESHOLD = 64
-
-
-def dense_assembly_forced() -> bool:
-    """True when the legacy scalar-dense reference path is forced."""
-    return os.environ.get(DENSE_ASSEMBLY_ENV, "") == "1"
-
-
-def sparse_threshold() -> int:
-    """Unknown count at or above which the sparse backend engages."""
-    raw = os.environ.get(SPARSE_THRESHOLD_ENV, "")
-    try:
-        return int(raw) if raw else DEFAULT_SPARSE_THRESHOLD
-    except ValueError:
-        return DEFAULT_SPARSE_THRESHOLD
-
-
-def solve_linear(jacobian, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``jacobian @ delta = rhs`` under one error taxonomy.
-
-    Dense ndarray -> ``np.linalg.solve``; CSC matrix -> ``splu``.
-    SuperLU reports singularity as ``RuntimeError`` (and degenerate
-    inputs as ``ValueError``); both are translated to
-    :class:`numpy.linalg.LinAlgError` so callers -- ``newton_solve``,
-    the transient integrator, the AC sweep -- keep a single except
-    clause regardless of backend.
-    """
-    if sp.issparse(jacobian):
-        fault_point("dc.sparse")
-        try:
-            return splu(jacobian.tocsc()).solve(rhs)
-        except (RuntimeError, ValueError) as exc:
-            raise np.linalg.LinAlgError(
-                f"sparse LU factorization failed: {exc}"
-            ) from exc
-    return np.linalg.solve(jacobian, rhs)
+__all__ = ["StampPlan"]
 
 
 class _NodeGather:
@@ -156,48 +80,6 @@ class _EntryRecorder:
         return rows, cols, groups
 
 
-class _SparsePattern:
-    """Symbolic CSC layout for one (rows, cols) entry pattern.
-
-    Built once, then every numeric assembly is a zero-fill plus one
-    ``np.add.at`` into the duplicate-summing slot map -- the
-    "symbolic factorization reuse" across Newton iterations and
-    retry-ladder rungs (which share the :class:`MnaSystem` and hence
-    this pattern).  The slot scatter preserves original entry order,
-    so duplicate summation stays bit-identical to the dense scatter.
-    """
-
-    __slots__ = ("slot", "nnz", "indices", "indptr", "shape")
-
-    def __init__(self, rows: np.ndarray, cols: np.ndarray, size: int):
-        order = np.lexsort((rows, cols))
-        sorted_rows = rows[order]
-        sorted_cols = cols[order]
-        count = rows.size
-        fresh = np.ones(count, dtype=bool)
-        if count:
-            fresh[1:] = (sorted_rows[1:] != sorted_rows[:-1]) | (
-                sorted_cols[1:] != sorted_cols[:-1]
-            )
-        slot_sorted = np.cumsum(fresh) - 1
-        slot = np.empty(count, dtype=np.intp)
-        slot[order] = slot_sorted
-        self.slot = slot
-        self.nnz = int(slot_sorted[-1]) + 1 if count else 0
-        self.indices = sorted_rows[fresh].astype(np.int32)
-        col_counts = np.zeros(size + 1, dtype=np.int64)
-        np.add.at(col_counts, sorted_cols[fresh] + 1, 1)
-        self.indptr = np.cumsum(col_counts).astype(np.int32)
-        self.shape = (size, size)
-
-    def matrix(self, entry_values: np.ndarray) -> "sp.csc_matrix":
-        data = np.zeros(self.nnz, dtype=entry_values.dtype)
-        np.add.at(data, self.slot, entry_values)
-        return sp.csc_matrix(
-            (data, self.indices, self.indptr), shape=self.shape
-        )
-
-
 # Value groups for the DC Jacobian entry list.
 _JG_GMIN, _JG_RES, _JG_MOS, _JG_VS = range(4)
 # Value groups for the DC residual entry list.
@@ -212,8 +94,9 @@ class StampPlan:
     """Per-system compiled stamp pattern (see module docstring).
 
     Index arrays are built once in ``__init__`` by replaying the exact
-    element walk of the scalar reference stampers; numeric assemblies
-    then only touch NumPy.  The AC layout is built lazily on first AC
+    element walk of a scalar stamper (the one-device-at-a-time order
+    the accumulation must reproduce); numeric assemblies then only
+    touch NumPy.  The AC layout is built lazily on first AC
     assembly (DC solves never need it).
     """
 
@@ -359,8 +242,6 @@ class StampPlan:
         self.f_mask = f_mask
         self.f_rows_valid = f_rows[f_mask]
 
-        self._dc_pattern: Optional[_SparsePattern] = None
-        self._ac_pattern: Optional[_SparsePattern] = None
         self._ac_ready = False
 
     # ------------------------------------------------------------------
@@ -445,10 +326,10 @@ class StampPlan:
             )
         return residual
 
-    def assemble_dc_dense(
+    def assemble_dc(
         self, x: np.ndarray, gmin: float, source_scale: float
     ) -> Tuple[np.ndarray, np.ndarray, Dict[str, "MosfetOperatingPoint"]]:
-        """Vectorized dense assembly, bit-identical to the reference."""
+        """Residual, dense Jacobian and device ops at ``x``."""
         f_vals, j_vals, ops = self._dc_entry_values(x, gmin, source_scale)
         assert j_vals is not None
         jacobian = np.zeros((self.size, self.size))
@@ -457,19 +338,6 @@ class StampPlan:
             (self.j_rows_valid, self.j_cols_valid),
             j_vals[self.j_mask],
         )
-        return self._residual_from(f_vals, x, source_scale), jacobian, ops
-
-    def assemble_dc_sparse(
-        self, x: np.ndarray, gmin: float, source_scale: float
-    ) -> Tuple[np.ndarray, "sp.csc_matrix", Dict[str, "MosfetOperatingPoint"]]:
-        """Assembly straight into the cached CSC pattern."""
-        f_vals, j_vals, ops = self._dc_entry_values(x, gmin, source_scale)
-        assert j_vals is not None
-        if self._dc_pattern is None:
-            self._dc_pattern = _SparsePattern(
-                self.j_rows_valid, self.j_cols_valid, self.size
-            )
-        jacobian = self._dc_pattern.matrix(j_vals[self.j_mask])
         return self._residual_from(f_vals, x, source_scale), jacobian, ops
 
     def assemble_dc_residual(
@@ -644,30 +512,15 @@ class StampPlan:
             rhs[row] = overrides.get(name, ac)
         return rhs
 
-    def assemble_ac_dense(
+    def assemble_ac(
         self,
-        omega: float,
+        omegas: np.ndarray,
         device_ops: Dict[str, "MosfetOperatingPoint"],
         overrides: Dict[str, complex],
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized dense AC matrix, bit-identical to the reference."""
+        """All frequencies as one ``(F, size, size)`` matrix stack, plus
+        the (frequency-independent) excitation vector."""
         g_vals, c_vals = self.ac_entry_values(device_ops)
-        entry_values = g_vals + (1j * omega) * c_vals
-        matrix = np.zeros((self.size, self.size), dtype=complex)
-        np.add.at(
-            matrix,
-            (self.ac_rows_valid, self.ac_cols_valid),
-            entry_values[self.ac_mask],
-        )
-        return matrix, self.ac_rhs(overrides)
-
-    def assemble_ac_stacked(
-        self,
-        omegas: np.ndarray,
-        g_vals: np.ndarray,
-        c_vals: np.ndarray,
-    ) -> np.ndarray:
-        """All frequencies as one (F, size, size) matrix stack."""
         stacked_vals = g_vals[None, :] + np.multiply.outer(
             1j * omegas, c_vals
         )
@@ -682,15 +535,4 @@ class StampPlan:
             ),
             stacked_vals[:, self.ac_mask],
         )
-        return matrix
-
-    def assemble_ac_sparse(
-        self, omega: float, g_vals: np.ndarray, c_vals: np.ndarray
-    ) -> "sp.csc_matrix":
-        """One frequency, assembled into the cached CSC pattern."""
-        if self._ac_pattern is None:
-            self._ac_pattern = _SparsePattern(
-                self.ac_rows_valid, self.ac_cols_valid, self.size
-            )
-        entry_values = g_vals + (1j * omega) * c_vals
-        return self._ac_pattern.matrix(entry_values[self.ac_mask])
+        return matrix, self.ac_rhs(overrides)

@@ -23,12 +23,13 @@ terminal :class:`~repro.errors.ConvergenceError` carries the
 escalation history can be recorded into a
 :class:`~repro.kb.trace.DesignTrace`.
 
-All MOSFET evaluations flow through :meth:`MnaSystem.assemble_dc`, so
-the solver is model-agnostic.  The solver cooperates with the
-resilience layer: an ambient :class:`~repro.resilience.Budget` is
-charged per Newton iteration, and the ``dc.newton`` /
-``dc.newton.nan`` fault points make every escalation path exercisable
-in tests (see :mod:`repro.resilience.faults`).
+:func:`newton_solve` is the simulator's one DC Newton loop: each
+iteration assembles through :meth:`MnaSystem.assemble_dc` (so the solver
+is model-agnostic) and makes one dense ``np.linalg.solve``.  The solver
+cooperates with the resilience layer: an ambient
+:class:`~repro.resilience.Budget` is charged per Newton iteration, and
+the ``dc.newton`` / ``dc.newton.nan`` fault points make every
+escalation path exercisable in tests (see :mod:`repro.resilience.faults`).
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from ..obs.spans import span as obs_span
 from ..process.parameters import ProcessParameters
 from ..resilience import Budget, LadderTrace, RetryLadder, Rung, current_budget
 from ..resilience.faults import fault_point
-from .assembly import solve_linear
 from .mna import MnaSystem, MosfetOperatingPoint, OperatingPointResult
 
 __all__ = ["operating_point", "newton_solve", "build_dc_ladder"]
@@ -123,15 +123,11 @@ def newton_solve(
         if budget is not None:
             budget.charge_newton(1, block=block, step="newton")
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            # Vectorized assembly; dense ndarray for small systems,
-            # CSC above the sparse threshold (the CSC symbolic layout
-            # is cached on the system's StampPlan, so it is shared
-            # across iterations and across retry-ladder rungs).
-            residual, jacobian, device_ops = system.assemble_dc_system(
+            residual, jacobian, device_ops = system.assemble_dc(
                 x, gmin, source_scale
             )
             try:
-                delta = solve_linear(jacobian, -residual)
+                delta = np.linalg.solve(jacobian, -residual)
             except np.linalg.LinAlgError as exc:
                 raise ConvergenceError(
                     f"singular Jacobian: {exc}", iteration

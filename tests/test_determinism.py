@@ -21,7 +21,17 @@ from pathlib import Path
 
 import pytest
 
-SRC = str(Path(__file__).parent.parent / "src")
+ROOT = Path(__file__).parent.parent
+SRC = str(ROOT / "src")
+
+#: Prepended to a child script to route every MNA assembly through the
+#: scalar reference stampers for the child's whole life.
+REFERENCE_PRELUDE = f"""
+import sys
+sys.path.insert(0, {str(ROOT)!r})
+from tests.mna_reference import install
+install()
+"""
 
 RECORD_SCRIPT = """
 import sys
@@ -91,8 +101,6 @@ def _run(script: str, seed: str, *argv: str, extra_env=None) -> str:
     env.pop("REPRO_CACHE_DIR", None)
     env.pop("REPRO_FAULTS", None)
     env.pop("REPRO_LOG", None)
-    env.pop("REPRO_DENSE_ASSEMBLY", None)
-    env.pop("REPRO_SPARSE_THRESHOLD", None)
     if extra_env:
         env.update(extra_env)
     proc = subprocess.run(
@@ -168,21 +176,17 @@ class TestHashSeedIndependence:
 class TestAssemblyBackendParity:
     """The vectorized numeric core is byte-invisible end to end.
 
-    ``REPRO_DENSE_ASSEMBLY=1`` swaps every assembly and solve back to
-    the scalar reference walk; a fresh interpreter under either backend
-    (and either hash seed) must emit identical sized-schematic records
-    and identical DC operating-point bytes.
+    A child interpreter that installs the scalar reference stampers
+    (``tests/mna_reference.py``) before running must emit, under either
+    hash seed, the same sized-schematic record and the same DC
+    operating-point bytes as a plain one.
     """
-
-    REFERENCE_ENV = {"REPRO_DENSE_ASSEMBLY": "1"}
 
     @pytest.mark.parametrize("label", ["A", "B"])
     def test_record_bytes_backend_invariant(self, label):
         default = _run(RECORD_SCRIPT, "0", label)
         for seed in SEEDS:
-            forced = _run(
-                RECORD_SCRIPT, seed, label, extra_env=self.REFERENCE_ENV
-            )
+            forced = _run(REFERENCE_PRELUDE + RECORD_SCRIPT, seed, label)
             assert forced == default
 
     @pytest.mark.parametrize("label", ["A", "C"])
@@ -190,20 +194,5 @@ class TestAssemblyBackendParity:
         default = _run(OP_SCRIPT, "0", label)
         assert '"iterations"' in default
         for seed in SEEDS:
-            forced = _run(OP_SCRIPT, seed, label, extra_env=self.REFERENCE_ENV)
+            forced = _run(REFERENCE_PRELUDE + OP_SCRIPT, seed, label)
             assert forced == default
-
-    def test_sparse_threshold_env_does_not_leak_into_records(self):
-        # Dropping the sparse threshold to 1 pushes even the op-amp
-        # solves through the CSC/splu tier; the *record* bytes must
-        # still match, since sizing rules consume converged values far
-        # above solver noise.  (Byte-level op parity is only promised
-        # for the dense tier -- this guards the user-facing artifact.)
-        default = _run(RECORD_SCRIPT, "0", "A")
-        sparse_everywhere = _run(
-            RECORD_SCRIPT,
-            "0",
-            "A",
-            extra_env={"REPRO_SPARSE_THRESHOLD": "1"},
-        )
-        assert sparse_everywhere == default

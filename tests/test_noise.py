@@ -13,6 +13,7 @@ from repro.opamp.common import KT, thermal_input_noise_nv
 from repro.opamp.designer import design_style
 from repro.opamp.verify import measure_input_noise
 from repro.simulator import noise_analysis, operating_point
+from repro.simulator.ac import solve_sweep
 
 
 def spec(**overrides):
@@ -121,6 +122,31 @@ class TestValidation:
         op = operating_point(c, CMOS_5UM)
         with pytest.raises(SimulationError):
             noise_analysis(c, CMOS_5UM, op, [], "a")
+
+    @pytest.mark.parametrize(
+        "frequencies",
+        [[float("nan")], [1e3, float("inf")]],
+        ids=["nan", "inf"],
+    )
+    def test_non_finite_frequency_rejected(self, frequencies):
+        c = Circuit("r")
+        c.add_vsource("v1", "a", GROUND, dc=1.0)
+        c.add_resistor("r1", "a", "b", 1e3)
+        c.add_resistor("r2", "b", GROUND, 1e3)
+        op = operating_point(c, CMOS_5UM)
+        with pytest.raises(SimulationError, match="finite positive"):
+            noise_analysis(c, CMOS_5UM, op, frequencies, "b")
+
+    def test_singular_point_names_frequency_and_chains_cause(self):
+        # Every matrix of the stack has an all-zero row, so the batched
+        # solve fails; the per-point re-solve must name the first
+        # frequency and chain numpy's LinAlgError.
+        stack = np.zeros((2, 2, 2), dtype=complex)
+        stack[:, 0, 0] = 1.0
+        freqs = np.array([10.0, 20.0])
+        with pytest.raises(SimulationError, match="failed at 10 Hz") as info:
+            solve_sweep(stack, np.ones((2, 1), dtype=complex), freqs, "noise")
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 class TestOpAmpNoise:

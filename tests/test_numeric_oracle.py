@@ -1,27 +1,23 @@
-"""Differential-testing oracle: scalar reference vs. vectorized core.
+"""Differential-testing oracle: scalar reference vs. the stamp plan.
 
-The vectorized stamping plan (:mod:`repro.simulator.assembly`) and the
-sparse solver tier are only trustworthy if they are *indistinguishable*
-from the scalar reference walk they replaced.  This suite pits the two
-implementations against each other on every circuit the repo can
-produce -- the paper's synthesized test cases, the foreign fixture
-decks, a flattened ADC sub-hierarchy, and hypothesis-generated random
-meshes -- and asserts:
+The vectorized stamping plan (:mod:`repro.simulator.assembly`) is only
+trustworthy if it is *indistinguishable* from the scalar element walk
+it replaced, which lives in ``tests/mna_reference.py``.  This suite pits
+the two against each other on every circuit the repo can produce -- the
+paper's synthesized test cases, the foreign fixture decks, a flattened
+ADC sub-hierarchy, and hypothesis-generated random circuits -- and
+asserts:
 
-* element-wise agreement of the DC residual/Jacobian and the complex
-  AC matrix/rhs (bit-exact for the dense plan, which shares the scalar
-  accumulation order; to solver precision across the sparse tier);
-* end-to-end ``operating_point`` parity across backends, including the
-  Newton iteration count;
+* bit-exact agreement of the DC residual/Jacobian and the complex AC
+  matrix/rhs (the plan replays the scalar accumulation order);
+* end-to-end ``operating_point`` parity with the reference installed,
+  including the Newton iteration count;
 * solver-counter parity (``dc.lu_solves``, ``dc.newton.iterations``) so
-  the vectorized path provably performs the *same* Newton trajectory,
-  not merely a nearby one;
-* corner-batched solves (:func:`repro.batch.corner_operating_points`)
-  matching per-corner solo solves.
+  the plan provably drives the *same* Newton trajectory, not merely a
+  nearby one.
 
-The reference backend is selected with ``REPRO_DENSE_ASSEMBLY=1``
-(read per call, so a monkeypatched environment flips the live
-dispatch).
+Whole solves run under the reference through
+:func:`tests.mna_reference.install`, applied with a scoped monkeypatch.
 """
 
 import numpy as np
@@ -29,7 +25,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.batch import corner_operating_points
 from repro.circuit import GROUND, Circuit
 from repro.circuit.netlist_io import parse_deck
 from repro.errors import ConvergenceError
@@ -38,9 +33,13 @@ from repro.opamp.designer import synthesize
 from repro.opamp.testcases import paper_test_cases
 from repro.process import CMOS_5UM
 from repro.simulator import operating_point
-from repro.simulator.assembly import DENSE_ASSEMBLY_ENV
 from repro.simulator.mna import MnaSystem
 
+from .mna_reference import (
+    assemble_ac_reference,
+    assemble_dc_reference,
+    install,
+)
 from .test_foreign_decks import _fixture
 
 # ---------------------------------------------------------------------------
@@ -89,26 +88,6 @@ def _random_states(system: MnaSystem, count: int = 5):
         yield rng.uniform(-5.0, 5.0, size=system.size)
 
 
-def _mesh_circuit(side: int) -> Circuit:
-    """Resistor grid large enough to cross the sparse threshold."""
-    c = Circuit(f"mesh{side}")
-
-    def node(i: int, j: int) -> str:
-        return GROUND if i == 0 and j == 0 else f"n{i}_{j}"
-
-    k = 0
-    for i in range(side):
-        for j in range(side):
-            if i + 1 < side:
-                c.add_resistor(f"rv{k}", node(i, j), node(i + 1, j), 1e3 + k)
-                k += 1
-            if j + 1 < side:
-                c.add_resistor(f"rh{k}", node(i, j), node(i, j + 1), 1e3 + k)
-                k += 1
-    c.add_vsource("vdd", node(side - 1, side - 1), GROUND, dc=5.0)
-    return c
-
-
 # ---------------------------------------------------------------------------
 # Assembly agreement: reference walk vs. vectorized scatter, entrywise.
 # ---------------------------------------------------------------------------
@@ -118,50 +97,24 @@ class TestDcAssemblyAgreement:
     @pytest.mark.parametrize("key", CORPUS_KEYS)
     def test_dense_plan_bit_identical(self, corpus, key):
         system = MnaSystem(corpus[key], CMOS_5UM)
-        plan = system.stamp_plan
         for x in _random_states(system):
             for gmin, scale in ((1e-12, 1.0), (1e-9, 0.7)):
-                ref_f, ref_j, ref_ops = system.assemble_dc_reference(
-                    x, gmin, scale
+                ref_f, ref_j, ref_ops = assemble_dc_reference(
+                    system, x, gmin, scale
                 )
-                vec_f, vec_j, vec_ops = plan.assemble_dc_dense(x, gmin, scale)
+                vec_f, vec_j, vec_ops = system.assemble_dc(x, gmin, scale)
                 assert np.array_equal(ref_f, vec_f)
                 assert np.array_equal(ref_j, vec_j)
                 assert ref_ops.keys() == vec_ops.keys()
 
     @pytest.mark.parametrize("key", CORPUS_KEYS)
-    def test_sparse_plan_matches_reference(self, corpus, key):
-        system = MnaSystem(corpus[key], CMOS_5UM)
-        plan = system.stamp_plan
-        for x in _random_states(system, count=3):
-            ref_f, ref_j, _ = system.assemble_dc_reference(x, 1e-12, 1.0)
-            sp_f, sp_j, _ = plan.assemble_dc_sparse(x, 1e-12, 1.0)
-            assert np.array_equal(ref_f, sp_f)
-            # CSC summation follows the same entry order, so even the
-            # sparse tier agrees bit-for-bit entrywise.
-            assert np.array_equal(ref_j, sp_j.toarray())
-
-    @pytest.mark.parametrize("key", CORPUS_KEYS)
     def test_residual_only_path_agrees(self, corpus, key):
         system = MnaSystem(corpus[key], CMOS_5UM)
         for x in _random_states(system, count=3):
-            ref_f, _, ref_ops = system.assemble_dc_reference(x, 1e-12, 1.0)
-            res_f, res_ops = system.stamp_plan.assemble_dc_residual(
-                x, 1e-12, 1.0
-            )
+            ref_f, _, ref_ops = assemble_dc_reference(system, x, 1e-12, 1.0)
+            res_f, res_ops = system.assemble_dc_residual(x, 1e-12, 1.0)
             assert np.array_equal(ref_f, res_f)
             assert ref_ops.keys() == res_ops.keys()
-
-    def test_sparse_sized_mesh_agrees(self):
-        system = MnaSystem(_mesh_circuit(10), CMOS_5UM)
-        assert system.use_sparse
-        for x in _random_states(system, count=2):
-            ref_f, ref_j, _ = system.assemble_dc_reference(x, 1e-12, 1.0)
-            sp_f, sp_j, _ = system.stamp_plan.assemble_dc_sparse(
-                x, 1e-12, 1.0
-            )
-            assert np.array_equal(ref_f, sp_f)
-            assert np.array_equal(ref_j, sp_j.toarray())
 
 
 class TestAcAssemblyAgreement:
@@ -172,29 +125,21 @@ class TestAcAssemblyAgreement:
         circuit = corpus[key]
         op = operating_point(circuit, CMOS_5UM)
         system = MnaSystem(circuit, CMOS_5UM)
-        plan = system.stamp_plan
         for omega in self.OMEGAS:
-            ref_y, ref_rhs = system.assemble_ac_reference(
-                omega, op.device_ops
-            )
-            vec_y, vec_rhs = plan.assemble_ac_dense(omega, op.device_ops, {})
+            ref_y, ref_rhs = assemble_ac_reference(system, omega, op.device_ops)
+            vec_y, vec_rhs = system.assemble_ac(omega, op.device_ops)
             assert np.array_equal(ref_y, vec_y)
             assert np.array_equal(ref_rhs, vec_rhs)
 
     @pytest.mark.parametrize("key", ("testcase_A", "fixture_ota_5t"))
-    def test_ac_sparse_and_stacked_tiers_agree(self, corpus, key):
+    def test_ac_sweep_stack_agrees(self, corpus, key):
         circuit = corpus[key]
         op = operating_point(circuit, CMOS_5UM)
         system = MnaSystem(circuit, CMOS_5UM)
-        plan = system.stamp_plan
-        g_vals, c_vals = plan.ac_entry_values(op.device_ops)
-        omegas = np.array(self.OMEGAS)
-        stack = plan.assemble_ac_stacked(omegas, g_vals, c_vals)
-        for i, omega in enumerate(omegas):
-            ref_y, _ = system.assemble_ac_reference(float(omega), op.device_ops)
+        stack, _ = system.assemble_ac_sweep(np.array(self.OMEGAS), op.device_ops)
+        for i, omega in enumerate(self.OMEGAS):
+            ref_y, _ = assemble_ac_reference(system, omega, op.device_ops)
             assert np.array_equal(ref_y, stack[i])
-            sparse_y = plan.assemble_ac_sparse(float(omega), g_vals, c_vals)
-            assert np.array_equal(ref_y, sparse_y.toarray())
 
     def test_ac_source_overrides_agree(self, corpus):
         circuit = corpus["testcase_A"]
@@ -202,12 +147,10 @@ class TestAcAssemblyAgreement:
         system = MnaSystem(circuit, CMOS_5UM)
         overrides = {"vdd": 1.0 + 0.0j}
         omega = 2.0 * np.pi * 1e4
-        ref_y, ref_rhs = system.assemble_ac_reference(
-            omega, op.device_ops, overrides
+        ref_y, ref_rhs = assemble_ac_reference(
+            system, omega, op.device_ops, overrides
         )
-        vec_y, vec_rhs = system.stamp_plan.assemble_ac_dense(
-            omega, op.device_ops, overrides
-        )
+        vec_y, vec_rhs = system.assemble_ac(omega, op.device_ops, overrides)
         assert np.array_equal(ref_y, vec_y)
         assert np.array_equal(ref_rhs, vec_rhs)
 
@@ -217,37 +160,27 @@ class TestAcAssemblyAgreement:
 # ---------------------------------------------------------------------------
 
 
-def _solve_with_backend(monkeypatch, circuit, forced: bool):
-    if forced:
-        monkeypatch.setenv(DENSE_ASSEMBLY_ENV, "1")
-    else:
-        monkeypatch.delenv(DENSE_ASSEMBLY_ENV, raising=False)
-    return operating_point(circuit, CMOS_5UM)
+def _solve_with_backend(circuit, reference: bool):
+    with pytest.MonkeyPatch.context() as mp:
+        if reference:
+            install(mp.setattr)
+        return operating_point(circuit, CMOS_5UM)
 
 
 class TestOperatingPointParity:
     @pytest.mark.parametrize("key", CORPUS_KEYS)
-    def test_bundled_circuits_bit_identical(self, corpus, key, monkeypatch):
-        """Below the sparse threshold the vectorized path shares the
-        scalar accumulation order, so even the floating-point noise is
-        identical: voltages, branch currents and iteration counts must
-        match bit-for-bit."""
+    def test_bundled_circuits_bit_identical(self, corpus, key):
+        """The plan shares the scalar accumulation order, so even the
+        floating-point noise is identical: voltages, branch currents and
+        iteration counts must match bit-for-bit."""
         circuit = corpus[key]
-        reference = _solve_with_backend(monkeypatch, circuit, forced=True)
-        vectorized = _solve_with_backend(monkeypatch, circuit, forced=False)
+        reference = _solve_with_backend(circuit, reference=True)
+        vectorized = _solve_with_backend(circuit, reference=False)
         assert reference.voltages == vectorized.voltages
         assert reference.source_currents == vectorized.source_currents
         assert reference.iterations == vectorized.iterations
         for name, ref_op in reference.device_ops.items():
             assert vectorized.device_ops[name].ids == ref_op.ids
-
-    def test_sparse_mesh_agrees_to_solver_precision(self, monkeypatch):
-        circuit = _mesh_circuit(10)
-        reference = _solve_with_backend(monkeypatch, circuit, forced=True)
-        sparse = _solve_with_backend(monkeypatch, circuit, forced=False)
-        assert reference.iterations == sparse.iterations
-        for node, voltage in reference.voltages.items():
-            assert sparse.voltages[node] == pytest.approx(voltage, abs=1e-9)
 
 
 class TestSolverCounterParity:
@@ -257,74 +190,20 @@ class TestSolverCounterParity:
 
     COUNTERS = ("dc.lu_solves", "dc.newton.iterations", "dc.solves")
 
-    def _counters_for(self, monkeypatch, circuit, forced):
-        if forced:
-            monkeypatch.setenv(DENSE_ASSEMBLY_ENV, "1")
-        else:
-            monkeypatch.delenv(DENSE_ASSEMBLY_ENV, raising=False)
+    def _counters_for(self, circuit, reference):
         tracer = Tracer()
         with tracer.activate():
-            op = operating_point(circuit, CMOS_5UM)
-        totals = {
+            _solve_with_backend(circuit, reference)
+        return {
             name: tracer.metrics.counter_total(name) for name in self.COUNTERS
         }
-        return op, totals
 
     @pytest.mark.parametrize("key", ("testcase_A", "testcase_C", "adc_preamp"))
-    def test_dense_sized_counter_parity(self, corpus, key, monkeypatch):
-        _, ref = self._counters_for(monkeypatch, corpus[key], forced=True)
-        _, vec = self._counters_for(monkeypatch, corpus[key], forced=False)
+    def test_dense_sized_counter_parity(self, corpus, key):
+        ref = self._counters_for(corpus[key], reference=True)
+        vec = self._counters_for(corpus[key], reference=False)
         assert ref == vec
         assert ref["dc.lu_solves"] > 0
-
-    def test_sparse_tier_counter_parity(self, monkeypatch):
-        circuit = _mesh_circuit(10)
-        _, ref = self._counters_for(monkeypatch, circuit, forced=True)
-        _, sparse = self._counters_for(monkeypatch, circuit, forced=False)
-        assert ref == sparse
-
-
-# ---------------------------------------------------------------------------
-# Corner-batched evaluation vs. per-corner solo solves.
-# ---------------------------------------------------------------------------
-
-
-class TestCornerBatchParity:
-    def test_mesh_corners_match_solo(self):
-        circuit = _mesh_circuit(10)
-        circuit.add_mosfet(
-            "mload",
-            "n9_9",
-            "n9_9",
-            GROUND,
-            GROUND,
-            "nmos",
-            width=50e-6,
-            length=10e-6,
-        )
-        batched = corner_operating_points(circuit, CMOS_5UM)
-        assert set(batched) == {"typical", "fast", "slow"}
-        for corner, result in batched.items():
-            process = (
-                CMOS_5UM if corner == "typical" else CMOS_5UM.corner(corner)
-            )
-            solo = operating_point(circuit, process)
-            assert result.iterations == solo.iterations
-            for node, voltage in solo.voltages.items():
-                assert result.voltages[node] == pytest.approx(
-                    voltage, abs=1e-9
-                )
-
-    def test_dense_sized_corners_match_solo_exactly(self, corpus):
-        circuit = corpus["testcase_A"]
-        batched = corner_operating_points(circuit, CMOS_5UM)
-        for corner, result in batched.items():
-            process = (
-                CMOS_5UM if corner == "typical" else CMOS_5UM.corner(corner)
-            )
-            solo = operating_point(circuit, process)
-            assert result.voltages == solo.voltages
-            assert result.iterations == solo.iterations
 
 
 # ---------------------------------------------------------------------------
@@ -394,35 +273,28 @@ class TestHypothesisOracle:
         system = MnaSystem(circuit, CMOS_5UM)
         rng = np.random.default_rng(seed)
         x = rng.uniform(-5.0, 5.0, size=system.size)
-        ref_f, ref_j, _ = system.assemble_dc_reference(x, 1e-12, 1.0)
-        vec_f, vec_j, _ = system.stamp_plan.assemble_dc_dense(x, 1e-12, 1.0)
+        ref_f, ref_j, _ = assemble_dc_reference(system, x, 1e-12, 1.0)
+        vec_f, vec_j, _ = system.assemble_dc(x, 1e-12, 1.0)
         np.testing.assert_allclose(vec_f, ref_f, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(vec_j, ref_j, rtol=0.0, atol=1e-12)
         # The dense plan replays the scalar accumulation order, so the
         # agreement is in fact exact, not merely within tolerance.
         assert np.array_equal(ref_f, vec_f)
         assert np.array_equal(ref_j, vec_j)
-        sp_f, sp_j, _ = system.stamp_plan.assemble_dc_sparse(x, 1e-12, 1.0)
-        assert np.array_equal(ref_f, sp_f)
-        assert np.array_equal(ref_j, sp_j.toarray())
 
     @given(circuit=random_circuits())
     @settings(max_examples=25, deadline=None)
     def test_random_operating_point_same_outcome(self, circuit):
         """Both backends converge to the same point with the same
         iteration count, or both fail with ConvergenceError."""
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setenv(DENSE_ASSEMBLY_ENV, "1")
-            try:
-                reference = operating_point(circuit, CMOS_5UM)
-            except ConvergenceError:
-                reference = None
-        with pytest.MonkeyPatch.context() as mp:
-            mp.delenv(DENSE_ASSEMBLY_ENV, raising=False)
-            try:
-                vectorized = operating_point(circuit, CMOS_5UM)
-            except ConvergenceError:
-                vectorized = None
+        try:
+            reference = _solve_with_backend(circuit, reference=True)
+        except ConvergenceError:
+            reference = None
+        try:
+            vectorized = _solve_with_backend(circuit, reference=False)
+        except ConvergenceError:
+            vectorized = None
         if reference is None:
             assert vectorized is None
         else:

@@ -144,6 +144,18 @@ class TestValidation:
         with pytest.raises(SimulationError):
             ac_analysis(circuit, CMOS_5UM, op, [-1.0])
 
+    @pytest.mark.parametrize(
+        "frequencies",
+        [[float("nan")], [1e3, float("inf")], [1e3, float("-inf")]],
+        ids=["nan", "inf", "-inf"],
+    )
+    def test_non_finite_frequency_rejected(self, frequencies):
+        # Used to return NaN phasors with no error.
+        circuit = rc_lowpass()
+        op = operating_point(circuit, CMOS_5UM)
+        with pytest.raises(SimulationError, match="finite positive"):
+            ac_analysis(circuit, CMOS_5UM, op, frequencies)
+
     def test_log_frequencies_span(self):
         freqs = log_frequencies(1.0, 1e6, 10)
         assert freqs[0] == pytest.approx(1.0)

@@ -74,6 +74,30 @@ class TestRcTransient:
         with pytest.raises(SimulationError):
             transient_analysis(circuit, CMOS_5UM, t_stop=1e-9, t_step=1e-6)
 
+    @pytest.mark.parametrize(
+        "t_stop, t_step",
+        [
+            (float("nan"), 1e-9),  # used to return a 1-point waveform
+            (float("inf"), 1e-9),  # used to step forever
+            (1e-7, float("nan")),  # used to burn the Newton budget
+        ],
+        ids=["t_stop_nan", "t_stop_inf", "t_step_nan"],
+    )
+    def test_non_finite_times_rejected_before_dc_solve(
+        self, monkeypatch, t_stop, t_step
+    ):
+        def no_dc_solve(*args, **kwargs):
+            raise AssertionError("DC solve ran before the time check")
+
+        monkeypatch.setattr(
+            "repro.simulator.transient.operating_point", no_dc_solve
+        )
+        circuit = Circuit("rc")
+        circuit.add_vsource("vin", "in", GROUND, dc=1.0)
+        circuit.add_resistor("r1", "in", GROUND, 1e3)
+        with pytest.raises(SimulationError, match="bad transient range"):
+            transient_analysis(circuit, CMOS_5UM, t_stop=t_stop, t_step=t_step)
+
 
 class TestMosfetTransient:
     def test_inverter_switches(self):

@@ -11,8 +11,9 @@ central mechanism, made visible.
 
 The run executes under an observability tracer (:mod:`repro.obs`), so
 the same mechanism also comes out as *data*: the example writes a JSONL
-trace (timed spans + timestamped events + metrics) to a temp file and
-pretty-prints a few records, then shows the terminal flame summary.
+trace (timed spans + the design events recorded inside them, on one
+clock + metrics) to a temp file and pretty-prints a few records, then
+shows the terminal flame summary.
 """
 
 import json
@@ -50,7 +51,7 @@ def main() -> None:
     # The same run as machine-readable data: a JSONL trace file.
     # ------------------------------------------------------------------
     report = RunReport.from_tracer(
-        tracer, events=trace.to_dicts(), meta={"label": "design_trace_example"}
+        tracer, meta={"label": "design_trace_example"}
     )
     out_path = Path(tempfile.mkdtemp(prefix="repro_obs_")) / "design_trace.jsonl"
     report.write(str(out_path), "jsonl")

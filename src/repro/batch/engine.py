@@ -378,15 +378,17 @@ def run_batch(
 
     When a :class:`~repro.obs.telemetry.TraceContext` is ambient, every
     task that does not already carry a ``traceparent`` is stamped with
-    a child of it, so worker-side records and log lines share the
-    batch's trace id across the process boundary.
+    it (the open span, inside one); each worker opens its own child hop
+    under it, so worker-side records and log lines share the batch's
+    trace id across the process boundary.
     """
     ambient = current_trace_context()
     if ambient is not None:
+        traceparent = ambient.to_traceparent()
         tasks = [
             task
             if task.traceparent is not None
-            else replace(task, traceparent=ambient.child().to_traceparent())
+            else replace(task, traceparent=traceparent)
             for task in tasks
         ]
     if jobs <= 1:

@@ -1071,11 +1071,11 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    from .obs.export import summarize_jsonl
+    from .obs.report import RunReport
 
     if args.tracefile:
         with open(args.tracefile, "r", encoding="utf-8") as handle:
-            print(summarize_jsonl(handle.read()))
+            print(RunReport.from_jsonl(handle.read()).summary())
         return 0
 
     from .opamp import synthesize

@@ -6,43 +6,51 @@ re-run with new constraints.  A :class:`DesignTrace` records exactly
 those events so the process is inspectable (and so the Figure 3 bench
 can regenerate the picture as text).
 
-Since the observability layer (:mod:`repro.obs`) landed, every event is
-also **timestamped** (milliseconds since the trace epoch, monotonic),
-**sequence-numbered** and **span-tagged** (the id of the innermost open
-:class:`~repro.obs.spans.Span` of the ambient tracer, when one is
-active), so a trace can be merged with the span timeline in the JSONL
-and Chrome-trace exports.  The event-kind marker table is shared with
-those exporters (:mod:`repro.obs.events`), so a kind added here can
-never silently drift out of the machine-readable stream.
+A trace holds only deterministic fields (sequence number, kind, block,
+step, detail), so it is byte-stable across runs.  Time lives in the
+observability layer: while a :class:`~repro.obs.spans.Tracer` is
+active, every event is also recorded as an event of the innermost open
+span, timestamped on the tracer's clock -- one timeline for spans and
+events in every export.  This module owns the event-kind vocabulary
+(:data:`TRACE_KIND_MARKERS`).
 """
 
 from __future__ import annotations
 
 import io
-import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
-from ..obs.events import marker_for
-from ..obs.spans import _ACTIVE as _ACTIVE_TRACER
+from ..obs.telemetry import _POSITION
 
-__all__ = ["TraceEvent", "DesignTrace"]
+__all__ = ["TRACE_KIND_MARKERS", "UNKNOWN_MARKER", "TraceEvent", "DesignTrace"]
+
+#: Event kind -> rendering marker (:meth:`DesignTrace.render`).
+TRACE_KIND_MARKERS: Dict[str, str] = {
+    "plan_start": ">>",
+    "step": "  .",
+    "rule_fired": "  !",
+    "restart": " <<",
+    "abort": " XX",
+    "plan_done": "<<",
+    "note": "  #",
+    "selection": "==",
+    "ladder": " ^^",
+    "failure": " !!",
+}
+
+#: Marker for kinds outside the table (a trace written by a newer
+#: version still renders, just anonymously).
+UNKNOWN_MARKER = "  ?"
 
 
 @dataclass(frozen=True)
 class TraceEvent:
     """One event during synthesis.
 
-    ``kind`` is one of: ``plan_start``, ``step``, ``rule_fired``,
-    ``restart``, ``abort``, ``plan_done``, ``note``, ``selection``,
-    ``ladder``, ``failure`` (the shared vocabulary in
-    :data:`repro.obs.events.TRACE_KIND_MARKERS`).
-
-    ``seq`` is the event's position in its trace (re-stamped when
-    traces are merged via :meth:`DesignTrace.extend`), ``t_ms`` the
-    milliseconds since the owning trace's epoch, and ``span_id`` the
-    ambient observability span open when the event was recorded (None
-    when observability was disabled).
+    ``kind`` is one of the keys of :data:`TRACE_KIND_MARKERS`.  ``seq``
+    is the event's position in its trace (re-stamped when traces are
+    merged via :meth:`DesignTrace.extend`).
     """
 
     kind: str
@@ -50,38 +58,24 @@ class TraceEvent:
     detail: str
     step: str = ""
     seq: int = 0
-    t_ms: float = 0.0
-    span_id: Optional[int] = None
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSONL-ready dict (marker included from the shared table)."""
+        """The event as a JSON-ready dict (``step`` only when set)."""
         row: Dict[str, Any] = {
-            "type": "event",
             "seq": self.seq,
-            "t_ms": round(self.t_ms, 3),
             "kind": self.kind,
-            "marker": marker_for(self.kind).strip(),
             "block": self.block,
             "detail": self.detail,
         }
         if self.step:
             row["step"] = self.step
-        if self.span_id is not None:
-            row["span_id"] = self.span_id
         return row
 
 
 class DesignTrace:
-    """Append-only event log for one synthesis run.
+    """Append-only event log for one synthesis run."""
 
-    Args:
-        clock: monotonic-seconds source (injectable for tests); event
-            timestamps are milliseconds relative to construction time.
-    """
-
-    def __init__(self, clock: Optional[Callable[[], float]] = None):
-        self._clock = clock or time.monotonic
-        self.epoch = self._clock()
+    def __init__(self) -> None:
         self.events: List[TraceEvent] = []
 
     # ------------------------------------------------------------------
@@ -90,24 +84,18 @@ class DesignTrace:
     def _append(self, kind: str, block: str, detail: str, step: str = "") -> None:
         # Hot path: every plan step / rule firing of every designed
         # block lands here.  The frozen-dataclass __init__ (one
-        # object.__setattr__ per field) and the current_span_id()
-        # call-through were measurable in the observability-disabled
-        # profile, so the event is built via __dict__ directly and the
-        # ambient-tracer lookup is inlined (one ContextVar.get; the
-        # span-stack probe only runs when a tracer is actually active).
-        tracer = _ACTIVE_TRACER.get()
+        # object.__setattr__ per field) was measurable in the
+        # observability-disabled profile, so the event is built via
+        # __dict__ directly; the disabled path costs one ContextVar.get.
         events = self.events
         event = TraceEvent.__new__(TraceEvent)
         event.__dict__.update(
-            kind=kind,
-            block=block,
-            detail=detail,
-            step=step,
-            seq=len(events),
-            t_ms=(self._clock() - self.epoch) * 1e3,
-            span_id=None if tracer is None else tracer.active_span_id(),
+            kind=kind, block=block, detail=detail, step=step, seq=len(events)
         )
         events.append(event)
+        span = _POSITION.get()[2]
+        if span is not None:
+            span.add_event(event)
 
     def plan_start(self, block: str, plan_name: str) -> None:
         self._append("plan_start", block, plan_name)
@@ -116,19 +104,16 @@ class DesignTrace:
         # Inlined copy of _append: step events are ~3/4 of all events
         # recorded during a synthesis run, and the extra call frame was
         # visible in the observability-disabled profile.
-        tracer = _ACTIVE_TRACER.get()
         events = self.events
         event = TraceEvent.__new__(TraceEvent)
         event.__dict__.update(
-            kind="step",
-            block=block,
-            detail=detail,
-            step=step_name,
+            kind="step", block=block, detail=detail, step=step_name,
             seq=len(events),
-            t_ms=(self._clock() - self.epoch) * 1e3,
-            span_id=None if tracer is None else tracer.active_span_id(),
         )
         events.append(event)
+        span = _POSITION.get()[2]
+        if span is not None:
+            span.add_event(event)
 
     def rule_fired(self, block: str, rule_name: str, detail: str) -> None:
         self._append("rule_fired", block, detail, step=rule_name)
@@ -157,28 +142,20 @@ class DesignTrace:
         self._append("failure", block, detail)
 
     def extend(self, other: "DesignTrace") -> None:
-        """Adopt ``other``'s events, re-stamping sequence numbers and
-        shifting timestamps onto this trace's epoch so the merged
-        timeline stays monotonic and mutually comparable.
+        """Adopt ``other``'s events, re-stamping their sequence numbers
+        to continue this trace's.
 
         The events are adopted *by reference* and re-stamped in place
         (via ``__dict__``, sidestepping the frozen-dataclass setattr
         guard): extend() runs once per designed (sub-)block and cloning
         every event dominated the observability-disabled profile.  The
         sub-trace is thereby *consumed* -- its already-recorded events
-        become part of this trace's timeline (which is what every
-        caller wants: a merged sub-trace rendered on its own shows the
-        merged ``seq``/``t_ms``, i.e. the same timeline).  ``other``
-        itself stays usable for appending new events.
+        (and the span events that share them) carry the merged ``seq``.
+        ``other`` itself stays usable for appending new events.
         """
-        offset_ms = (other.epoch - self.epoch) * 1e3
         events = self.events
-        seq = len(events)
-        for event in other.events:
-            payload = event.__dict__
-            payload["seq"] = seq
-            payload["t_ms"] = event.t_ms + offset_ms
-            seq += 1
+        for seq, event in enumerate(other.events, start=len(events)):
+            event.__dict__["seq"] = seq
         events.extend(other.events)
 
     # ------------------------------------------------------------------
@@ -218,15 +195,14 @@ class DesignTrace:
         for event in self.events:
             if kinds and event.kind not in kinds:
                 continue
-            marker = marker_for(event.kind)
+            marker = TRACE_KIND_MARKERS.get(event.kind, UNKNOWN_MARKER)
             step_part = f" [{event.step}]" if event.step else ""
             prefix = f"{event.seq:4d} " if seq else ""
             out.write(f"{prefix}{marker} {event.block}{step_part} {event.detail}\n")
         return out.getvalue()
 
     def to_dicts(self) -> List[Dict[str, Any]]:
-        """Every event as a JSONL-ready dict (see
-        :meth:`TraceEvent.to_dict`); the exporters consume this."""
+        """Every event as a JSON-ready dict (see :meth:`TraceEvent.to_dict`)."""
         return [event.to_dict() for event in self.events]
 
     def __len__(self) -> int:

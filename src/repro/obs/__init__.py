@@ -1,23 +1,34 @@
-"""Observability layer: timed spans, metrics, structured run export.
+"""Observability layer: one trace timeline, metrics, structured export.
 
 The paper's central claim is that plan execution is *inspectable*
 (Figure 3 is literally a trace); this package adds the wall-clock and
-resource dimensions that flat traces miss, in three parts:
+resource dimensions that flat traces miss, as **one** model:
 
-* **spans** -- hierarchical timed intervals (:class:`Span`,
-  :class:`Tracer`), propagated ambiently via :mod:`contextvars` (the
-  same pattern as :mod:`repro.resilience.budget`) so the designer,
-  style selection, plan executor, DC solver and retry ladder each open
-  spans without threading a tracer argument (:mod:`repro.obs.spans`);
+* **one ambient position** -- a single :mod:`contextvars` variable
+  holds the current W3C trace context, the recording :class:`Tracer`
+  (or none) and its innermost open span (:mod:`repro.obs.telemetry`).
+  The designer, style selection, plan executor, DC solver and retry
+  ladder open spans without threading a tracer argument;
+* **one id scheme** -- every span has a 16-hex W3C ``span_id`` in a
+  32-hex ``trace_id``.  Inside an open span
+  :func:`current_trace_context` returns that span's ids, so log lines
+  (:mod:`repro.obs.log`), outgoing ``traceparent`` headers and
+  exported spans name the same spans (:mod:`repro.obs.spans`);
+* **one clock** -- design-trace events
+  (:class:`~repro.kb.trace.DesignTrace`) recorded while a tracer is
+  active become events of the open span, timestamped on the tracer's
+  clock;
 * **metrics** -- a registry of counters / gauges / histograms (Newton
   iterations per rung, rule firings per block, restarts, candidates
   explored/pruned, LU solves, budget consumption) with a deterministic
   snapshot (:mod:`repro.obs.metrics`);
-* **export** -- JSONL event streams, Chrome trace-event files (load in
-  Perfetto / ``chrome://tracing``) and terminal flame summaries,
-  bundled per run as a :class:`RunReport` on
-  :class:`~repro.opamp.result.SynthesisResult`
-  (:mod:`repro.obs.export`, :mod:`repro.obs.report`).
+* **one record** -- :meth:`RunReport.from_tracer` freezes spans, span
+  events and metrics into the value carried on
+  :class:`~repro.opamp.result.SynthesisResult`; JSONL, Chrome
+  trace-event files (Perfetto / ``chrome://tracing``), flame and
+  latency tables are all rendered from it, and
+  :meth:`RunReport.from_jsonl` reads a JSONL file back into it
+  (:mod:`repro.obs.report`, :mod:`repro.obs.export`).
 
 When no tracer is active every instrumentation point is a no-op (one
 contextvar read), so observability is free unless switched on --
@@ -27,7 +38,6 @@ explicitly activated :class:`Tracer`.
 
 from __future__ import annotations
 
-from .events import TRACE_KIND_MARKERS, UNKNOWN_MARKER, known_kinds, marker_for
 from .export import (
     flame_text,
     iter_jsonl,
@@ -35,7 +45,6 @@ from .export import (
     percentile,
     render_metrics,
     render_prometheus,
-    summarize_jsonl,
     to_chrome,
     to_chrome_json,
     to_jsonl,
@@ -81,7 +90,6 @@ from .spans import (
     SpanHandle,
     Tracer,
     count,
-    current_span_id,
     current_tracer,
     gauge,
     observe,
@@ -96,7 +104,6 @@ __all__ = [
     "NULL_SPAN",
     "Tracer",
     "current_tracer",
-    "current_span_id",
     "span",
     "count",
     "observe",
@@ -130,11 +137,6 @@ __all__ = [
     "evaluate_snapshot",
     "histogram_quantile",
     "diff_bench",
-    # events vocabulary
-    "TRACE_KIND_MARKERS",
-    "UNKNOWN_MARKER",
-    "known_kinds",
-    "marker_for",
     # export
     "to_jsonl",
     "to_chrome",
@@ -144,7 +146,6 @@ __all__ = [
     "render_prometheus",
     "latency_table",
     "percentile",
-    "summarize_jsonl",
     "iter_jsonl",
     # report
     "RunReport",

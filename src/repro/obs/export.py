@@ -1,23 +1,24 @@
 """Exporters: JSONL event streams, Chrome trace-event files, flame text.
 
-Three renderings of one observed run:
+Renderings of one observed run (a :class:`~repro.obs.report.RunReport`
+is the single source every caller passes in):
 
 * :func:`to_jsonl` -- a line-per-record stream (``meta`` header, then
-  spans and design-trace events merged in time order, then a terminal
-  ``metrics`` record).  Machine-greppable, append-friendly, and the
-  format :func:`summarize_jsonl` (the ``repro stats`` view) reads back.
+  spans and span events merged in time order, then a terminal
+  ``metrics`` record).  Machine-greppable, append-friendly, and read
+  back by :meth:`repro.obs.report.RunReport.from_jsonl` (``repro
+  stats``, ``repro slo --trace``).
 * :func:`to_chrome` -- the Chrome trace-event JSON object (complete
-  ``"X"`` events for spans, instant ``"i"`` events for design-trace
-  events).  Load the file in Perfetto (https://ui.perfetto.dev) or
+  ``"X"`` events for spans, instant ``"i"`` events for span events).
+  Load the file in Perfetto (https://ui.perfetto.dev) or
   ``chrome://tracing`` to see where the wall-clock went.
-* :func:`flame_text` -- a terminal flame summary: the span tree with
-  total / self milliseconds and call counts, siblings of the same name
-  merged.
+* :func:`flame_text` / :func:`latency_table` -- the terminal views: the
+  span tree with total / self milliseconds and call counts (siblings of
+  the same name merged), and per-name tail latencies.
 
-Design-trace events cross this boundary as plain dicts (produced by
-:meth:`repro.kb.trace.DesignTrace.to_dicts`) so this module never
-imports :mod:`repro.kb` -- the kb imports *us* for the shared marker
-table (:mod:`repro.obs.events`).
+Span events cross this boundary as plain dicts (``t_ms``, ``span_id``
+plus the design-trace event fields), so this module never imports
+:mod:`repro.kb`.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ __all__ = [
     "to_chrome",
     "to_chrome_json",
     "flame_text",
-    "summarize_jsonl",
     "render_metrics",
     "render_prometheus",
     "latency_table",
@@ -54,26 +54,26 @@ def to_jsonl(
     """One JSON record per line; parse with ``json.loads`` per line.
 
     Record types (``"type"`` field): ``meta`` (first line), ``span``,
-    ``event`` (design-trace events, already dicts with their shared
-    marker embedded), ``metrics`` (last line).  Spans and events are
-    merged by start time so the stream reads chronologically.
+    ``event`` (span events), ``metrics`` (last line).  Spans and events
+    are merged by time so the stream reads chronologically; a span
+    precedes the events it holds.
     """
-    records: List[Tuple[float, int, Dict[str, Any]]] = []
-    for order, s in enumerate(sorted(spans, key=lambda s: s.span_id)):
+    records: List[Tuple[float, int, int, Dict[str, Any]]] = []
+    for order, s in enumerate(spans):
         row = s.to_dict()
         row["type"] = "span"
-        records.append((s.start_ms, order, row))
+        records.append((s.start_ms, 0, order, row))
     for order, event in enumerate(events):
         row = dict(event)
-        row.setdefault("type", "event")
-        records.append((float(row.get("t_ms", 0.0)), order, row))
-    records.sort(key=lambda item: (item[0], item[1]))
+        row["type"] = "event"
+        records.append((float(row.get("t_ms", 0.0)), 1, order, row))
+    records.sort(key=lambda item: item[:3])
 
     out = io.StringIO()
     header: Dict[str, Any] = {"type": "meta", "format": "repro.obs/jsonl/1"}
     header.update(meta or {})
     out.write(json.dumps(header, sort_keys=True) + "\n")
-    for _, _, row in records:
+    for *_, row in records:
         out.write(json.dumps(row, sort_keys=True) + "\n")
     out.write(
         json.dumps({"type": "metrics", "metrics": dict(metrics or {})},
@@ -108,7 +108,7 @@ def to_chrome(
             "args": {"name": process_name},
         }
     ]
-    for s in sorted(spans, key=lambda s: s.span_id):
+    for s in spans:
         args: Dict[str, Any] = {"span_id": s.span_id, "status": s.status}
         if s.parent_id is not None:
             args["parent_id"] = s.parent_id
@@ -179,7 +179,7 @@ class _Node:
 
 def _build_tree(spans: Sequence[Span]) -> _Node:
     """Aggregate spans into a name tree (same-named siblings merged)."""
-    by_id: Dict[int, Span] = {s.span_id: s for s in spans}
+    by_id: Dict[str, Span] = {s.span_id: s for s in spans}
 
     def path_of(s: Span) -> Tuple[str, ...]:
         names: List[str] = [s.name]
@@ -249,65 +249,8 @@ def flame_text(spans: Sequence[Span], min_ms: float = 0.0) -> str:
 
 
 # ----------------------------------------------------------------------
-# JSONL summarization (the ``repro stats <file>`` path)
+# Terminal tables
 # ----------------------------------------------------------------------
-def summarize_jsonl(text: str) -> str:
-    """Summarize a JSONL trace written by :func:`to_jsonl`."""
-    spans: List[Span] = []
-    n_events = 0
-    kinds: Dict[str, int] = {}
-    metrics: Dict[str, Any] = {}
-    meta: Dict[str, Any] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        row = json.loads(line)
-        rtype = row.get("type")
-        if rtype == "span":
-            spans.append(
-                Span(
-                    name=str(row.get("name", "")),
-                    span_id=int(row.get("span_id", 0)),
-                    parent_id=row.get("parent_id"),
-                    start_ms=float(row.get("start_ms", 0.0)),
-                    duration_ms=float(row.get("duration_ms", 0.0)),
-                    category=str(row.get("category", "")),
-                    status=str(row.get("status", "ok")),
-                    attributes=dict(row.get("attributes") or {}),
-                )
-            )
-        elif rtype == "event":
-            n_events += 1
-            kind = str(row.get("kind", "?"))
-            kinds[kind] = kinds.get(kind, 0) + 1
-        elif rtype == "metrics":
-            metrics = dict(row.get("metrics") or {})
-        elif rtype == "meta":
-            meta = {k: v for k, v in row.items() if k != "type"}
-    out = io.StringIO()
-    total = max((s.end_ms for s in spans), default=0.0)
-    out.write(
-        f"JSONL trace: {len(spans)} spans, {n_events} events, "
-        f"{total:.1f} ms covered\n"
-    )
-    if meta:
-        for key in sorted(meta):
-            out.write(f"  meta {key}: {meta[key]}\n")
-    if kinds:
-        out.write("  events by kind: ")
-        out.write(
-            ", ".join(f"{k}={kinds[k]}" for k in sorted(kinds)) + "\n"
-        )
-    out.write("\n")
-    out.write(flame_text(spans))
-    out.write("\ntail latency (per span name):\n")
-    out.write(latency_table(spans))
-    out.write("\n")
-    out.write(render_metrics(metrics))
-    return out.getvalue()
-
-
 def render_metrics(snapshot: Mapping[str, Any]) -> str:
     """Metrics snapshot as an indented text table."""
     out = io.StringIO()

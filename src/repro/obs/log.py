@@ -9,10 +9,12 @@ deliberately small, stdlib-only structured logger:
   sorted keys, one ``write`` call so concurrent processes appending to
   the same file do not interleave);
 * every line auto-carries the correlation fields -- ``trace_id`` /
-  ``span_id`` from the ambient :class:`~repro.obs.telemetry.TraceContext`,
-  plus any fields bound via :func:`bound` (the serve layer binds
-  ``request_id``) -- alongside ``ts``, ``level``, ``logger``, ``event``
-  and ``pid``;
+  ``span_id`` of the ambient trace position
+  (:func:`~repro.obs.telemetry.current_trace_context`: inside an
+  observed span, that span's ids, the same ones ``--trace-out`` files
+  carry), plus any fields bound via :func:`bound` (the serve layer
+  binds ``request_id``) -- alongside ``ts``, ``level``, ``logger``,
+  ``event`` and ``pid``;
 * when no sink is configured every log call is a cheap no-op (one flag
   check), preserving the repo's disabled-path overhead contract;
 * configuration flows through the environment (``REPRO_LOG`` =

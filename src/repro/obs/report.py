@@ -1,11 +1,13 @@
 """The per-run observability artefact: :class:`RunReport`.
 
-A :class:`RunReport` freezes one observed run -- finished spans, the
-deterministic metrics snapshot, the design-trace events (as dicts, see
-:meth:`repro.kb.trace.DesignTrace.to_dicts`) and free-form metadata --
+A :class:`RunReport` freezes one observed run -- finished spans, their
+span events (the design-trace events, timestamped on the tracer's
+clock), the deterministic metrics snapshot and free-form metadata --
 into a self-describing value that travels on
-:class:`~repro.opamp.result.SynthesisResult` and knows how to render
-itself in every supported format (JSONL / Chrome trace / flame text).
+:class:`~repro.opamp.result.SynthesisResult`.  It is the one source of
+every rendering (JSONL / Chrome trace / flame text / latency table),
+and :meth:`RunReport.from_jsonl` reads a JSONL file back into the same
+value (``repro stats FILE``, ``repro slo --trace``).
 
 OSIRIS-style batch workloads depend on this: every run emits its own
 structured, machine-readable performance record, so a dataset of ten
@@ -14,11 +16,13 @@ thousand syntheses is also a dataset of ten thousand profiles.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional
 
 from .export import (
     flame_text,
+    iter_jsonl,
     latency_table,
     render_metrics,
     to_chrome_json,
@@ -34,13 +38,16 @@ TRACE_FORMATS = ("jsonl", "chrome", "text")
 
 @dataclass
 class RunReport:
-    """Spans + metrics + events for one synthesis (or simulation) run.
+    """Spans + span events + metrics for one synthesis (or simulation) run.
 
     Attributes:
         spans: finished spans in start order.
         metrics: deterministic metrics snapshot
             (see :meth:`repro.obs.metrics.MetricsRegistry.snapshot`).
-        events: design-trace events as dicts (timestamped, span-tagged).
+        events: span events in record order, as dicts: ``t_ms`` (tracer
+            clock), ``span_id`` (the span open at the time) and the
+            design-trace fields (``seq``, ``kind``, ``block``,
+            ``detail``, ``step``).
         total_ms: wall-clock covered by the spans (latest end time).
         meta: free-form run metadata (spec label, styles, versions...).
     """
@@ -56,24 +63,51 @@ class RunReport:
     def from_tracer(
         cls,
         tracer: Tracer,
-        events: Optional[Sequence[Mapping[str, Any]]] = None,
         meta: Optional[Mapping[str, Any]] = None,
     ) -> "RunReport":
-        """Snapshot ``tracer`` (spans sorted into start order)."""
+        """Snapshot ``tracer``: spans in start order, its span events,
+        metrics, and ``meta`` plus the tracer's ``trace_id``."""
         spans = tracer.spans_by_start()
+        events = [
+            {"t_ms": round(t_ms, 3), "span_id": span_id, **event.to_dict()}
+            for t_ms, span_id, event in tracer.events
+        ]
         return cls(
             spans=spans,
             metrics=tracer.metrics.snapshot(),
-            events=[dict(e) for e in (events or [])],
+            events=events,
             total_ms=max((s.end_ms for s in spans), default=tracer.now_ms()),
-            meta=dict(meta or {}),
+            meta={"trace_id": tracer.trace_id, **(meta or {})},
         )
+
+    @classmethod
+    def from_jsonl(cls, text: str) -> "RunReport":
+        """Read a stream written by :meth:`to_jsonl` back."""
+        report = cls()
+        for row in iter_jsonl(text):
+            kind = row.pop("type", None)
+            if kind == "span":
+                report.spans.append(Span.from_dict(row))
+            elif kind == "event":
+                report.events.append(row)
+            elif kind == "metrics":
+                report.metrics = dict(row.get("metrics") or {})
+            elif kind == "meta":
+                row.pop("format", None)
+                report.total_ms = float(row.pop("total_ms", 0.0))
+                report.meta = row
+        if not report.total_ms:
+            report.total_ms = max((s.end_ms for s in report.spans), default=0.0)
+        return report
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def root_spans(self) -> List[Span]:
-        return [s for s in self.spans if s.parent_id is None]
+        """Spans whose parent is not in this report (trace roots, and
+        spans opened under a remote hop)."""
+        ids = {s.span_id for s in self.spans}
+        return [s for s in self.spans if s.parent_id not in ids]
 
     def span_coverage(self) -> float:
         """Fraction of :attr:`total_ms` covered by root spans (the
@@ -130,6 +164,12 @@ class RunReport:
             f"{len(self.events)} trace events, {self.total_ms:.1f} ms "
             f"({100.0 * self.span_coverage():.1f}% span coverage)"
         ]
+        kinds = Counter(str(event.get("kind")) for event in self.events)
+        if kinds:
+            lines.append(
+                "  events by kind: "
+                + ", ".join(f"{k}={kinds[k]}" for k in sorted(kinds))
+            )
         for key in sorted(self.meta):
             lines.append(f"  meta {key}: {self.meta[key]}")
         lines.append("")

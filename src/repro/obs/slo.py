@@ -12,8 +12,9 @@ CI-gateable comparison.
   optional error-rate ceiling.  Targets load from a plain JSON file
   (:func:`load_targets`) so services version them next to their code.
 * :func:`evaluate_trace` -- exact percentiles over span durations in a
-  JSONL trace (:func:`repro.obs.export.percentile`), error rate =
-  errored spans / spans.
+  JSONL trace read by :meth:`repro.obs.report.RunReport.from_jsonl`
+  (:func:`repro.obs.export.percentile`), error rate = errored spans /
+  spans.
 * :func:`evaluate_snapshot` -- bucket-interpolated quantiles from a
   metrics snapshot's histograms (:func:`histogram_quantile`, the
   ``histogram_quantile()`` PromQL estimator), error rate from a
@@ -33,7 +34,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .export import iter_jsonl, percentile
+from .export import percentile
+from .report import RunReport
 
 __all__ = [
     "SloCheck",
@@ -146,15 +148,10 @@ def evaluate_trace(text: str, targets: Sequence[SloTarget]) -> List[SloCheck]:
     """Evaluate span-kind targets against a JSONL trace."""
     durations: Dict[str, List[float]] = {}
     errors: Dict[str, int] = {}
-    for row in iter_jsonl(text):
-        if row.get("type") != "span":
-            continue
-        name = str(row.get("name", ""))
-        durations.setdefault(name, []).append(
-            float(row.get("duration_ms", 0.0))
-        )
-        if row.get("status") == "error":
-            errors[name] = errors.get(name, 0) + 1
+    for span in RunReport.from_jsonl(text).spans:
+        durations.setdefault(span.name, []).append(span.duration_ms)
+        if span.status == "error":
+            errors[span.name] = errors.get(span.name, 0) + 1
     checks: List[SloCheck] = []
     for target in targets:
         if target.kind != "span":

@@ -1,25 +1,24 @@
-"""W3C-style trace-context propagation across process boundaries.
+"""W3C trace context: the one id scheme for spans, logs and hops.
 
-PR 4 gave each run an in-process :class:`~repro.obs.spans.Tracer`; PR 8
-gave the serve layer a per-connection ``request_id``.  Neither survives
-the hop into a :class:`~concurrent.futures.ProcessPoolExecutor` worker:
-the worker builds its own tracer with no causal link back to the
-request.  This module closes that gap with a minimal trace-context:
+Every id in the observability layer is a W3C ``traceparent`` id: a
+32-hex trace id naming the whole request or run, and a 16-hex span id
+naming one position inside it.
 
 * :class:`TraceContext` -- an immutable ``(trace_id, span_id, sampled)``
-  triple in W3C ``traceparent`` shape (32-hex trace id, 16-hex span
-  id).  Mint one per serve request or batch run
+  triple.  Mint one per serve request or batch run
   (:meth:`TraceContext.generate`), derive per-task children
   (:meth:`TraceContext.child`), and serialize it across any boundary as
   the single header-sized string ``00-<trace>-<span>-01``
   (:meth:`TraceContext.to_traceparent` /
   :meth:`TraceContext.from_traceparent`).
-* ambient activation -- :func:`activate_trace` installs a context on a
-  :class:`~contextvars.ContextVar` (the same pattern as
-  :meth:`repro.obs.spans.Tracer.activate` and
-  :meth:`repro.resilience.budget.Budget.active`), so log lines, run
-  reports and response envelopes pick the ids up via
-  :func:`current_trace_context` without threading arguments.
+* the ambient position -- one :class:`~contextvars.ContextVar` holds
+  the current trace context, the recording
+  :class:`~repro.obs.spans.Tracer` and its innermost open span.
+  :func:`activate_trace` and :meth:`~repro.obs.spans.Tracer.activate`
+  set it, and every open span moves it.  So
+  :func:`current_trace_context` inside a span returns *that span's*
+  ids: log lines, outgoing ``traceparent`` headers and ``--trace-out``
+  files name the same spans.
 
 Trace ids are random (``os.urandom``), hence **volatile**: anything
 carrying one into a determinism-checked record must list it in the
@@ -32,7 +31,10 @@ import os
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle (spans imports us)
+    from .spans import SpanHandle, Tracer
 
 __all__ = [
     "TraceContext",
@@ -130,32 +132,44 @@ class TraceContext:
 
 
 # ----------------------------------------------------------------------
-# Ambient propagation
+# The ambient trace position
 # ----------------------------------------------------------------------
-_ACTIVE: ContextVar[Optional[TraceContext]] = ContextVar(
-    "repro_trace_context", default=None
+#: Where the running code sits in a trace: ``(context, tracer, span)``.
+#: ``span`` is the innermost open span of ``tracer`` (the position is
+#: that span); otherwise the position is the bare ``context`` -- a hop
+#: activated by :func:`activate_trace`, or None.  ``tracer`` is the
+#: recording :class:`~repro.obs.spans.Tracer` (None when observability
+#: is off).  :mod:`repro.obs.spans` reads and writes the same variable.
+Position = Tuple[
+    Optional[TraceContext], Optional["Tracer"], Optional["SpanHandle"]
+]
+_POSITION: ContextVar[Position] = ContextVar(
+    "repro_trace_position", default=(None, None, None)
 )
 
 
 def current_trace_context() -> Optional[TraceContext]:
-    """The ambient :class:`TraceContext`, if one is active."""
-    return _ACTIVE.get()
+    """The ambient :class:`TraceContext`: the innermost open span's ids
+    when a span is open, else the activated context (or None)."""
+    context, _, span = _POSITION.get()
+    return span.context() if span is not None else context
 
 
 def current_trace_id() -> Optional[str]:
     """Shorthand: the ambient trace id (None when no context)."""
-    ctx = _ACTIVE.get()
+    ctx = current_trace_context()
     return ctx.trace_id if ctx is not None else None
 
 
 @contextmanager
 def activate_trace(ctx: TraceContext) -> Iterator[TraceContext]:
-    """Install ``ctx`` as the ambient trace context for the block."""
-    token = _ACTIVE.set(ctx)
+    """Make ``ctx`` the ambient position for the block (the recording
+    tracer, if any, stays; spans opened inside are children of ``ctx``)."""
+    token = _POSITION.set((ctx, _POSITION.get()[1], None))
     try:
         yield ctx
     finally:
-        _ACTIVE.reset(token)
+        _POSITION.reset(token)
 
 
 def ensure_trace_context(
@@ -169,7 +183,7 @@ def ensure_trace_context(
     parsed = TraceContext.from_traceparent(traceparent)
     if parsed is not None:
         return parsed.child()
-    ambient = _ACTIVE.get()
+    ambient = current_trace_context()
     if ambient is not None:
         return ambient.child()
     return TraceContext.generate()

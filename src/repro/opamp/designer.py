@@ -27,7 +27,6 @@ from ..obs.spans import NULL_SPAN, NullSpan
 from ..obs.spans import count as metric_count
 from ..obs.spans import gauge as metric_gauge
 from ..obs.spans import span as obs_span
-from ..obs.telemetry import current_trace_id
 from ..process.parameters import ProcessParameters
 from ..resilience import Budget, FailureReport
 from ..resilience.faults import fault_point
@@ -218,17 +217,14 @@ def synthesize(
     else:
         result = run()
     if tracer is not None:
-        meta = {
-            "label": "synthesize",
-            "process": process.name,
-            "ok": result.ok,
-            "winner": result.best.style if result.best else None,
-        }
-        trace_id = current_trace_id()
-        if trace_id is not None:
-            meta["trace_id"] = trace_id
         result.report = RunReport.from_tracer(
-            tracer, events=trace.to_dicts(), meta=meta
+            tracer,
+            meta={
+                "label": "synthesize",
+                "process": process.name,
+                "ok": result.ok,
+                "winner": result.best.style if result.best else None,
+            },
         )
     return result
 

@@ -25,13 +25,13 @@ __all__ = ["ServeClient", "ServeResponse"]
 
 
 def _trace_headers() -> Dict[str, str]:
-    """A ``traceparent`` header when the caller has an ambient trace
-    context, so the server joins the client's trace instead of minting
-    its own."""
+    """A ``traceparent`` header naming the caller's ambient position
+    (its open span, inside one), so the server joins the client's trace
+    instead of minting its own."""
     ctx = current_trace_context()
     if ctx is None:
         return {}
-    return {"traceparent": ctx.child().to_traceparent()}
+    return {"traceparent": ctx.to_traceparent()}
 
 
 def _truncated_stream_record(detail: str) -> Dict[str, Any]:

@@ -47,11 +47,10 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Set
 
 from ..errors import ReproError, ServeError
-from ..obs import Tracer
 from ..obs.export import render_metrics, render_prometheus
 from ..obs.log import bound as log_bound
 from ..obs.log import get_logger
-from ..obs.metrics import LATENCY_BUCKETS_MS
+from ..obs.metrics import LATENCY_BUCKETS_MS, MetricsRegistry
 from ..obs.telemetry import (
     activate_trace,
     current_trace_context,
@@ -138,8 +137,7 @@ class ReproServer:
         self.config = config or ServeConfig()
         if self.config.workers < 1:
             raise ValueError("workers must be >= 1")
-        self.tracer = Tracer()
-        self.metrics = self.tracer.metrics
+        self.metrics = MetricsRegistry()
         self.supervisor = WorkerSupervisor(
             workers=self.config.workers,
             mode=self.config.mode,
@@ -685,9 +683,7 @@ class ReproServer:
             spec=spec,
             process=process,
             corner=corner,
-            traceparent=(
-                ctx.child().to_traceparent() if ctx is not None else None
-            ),
+            traceparent=ctx.to_traceparent() if ctx is not None else None,
             **self._synth_options(payload),
         )
         job = self._admit("synth", task, request_id, **options)
@@ -756,10 +752,10 @@ class ReproServer:
         )
         ctx = current_trace_context()
         if ctx is not None:
-            # Every grid point gets its own child span id under the
-            # request's trace, serialized across the pool boundary.
+            # The request's position crosses the pool boundary; each
+            # worker opens its own child hop under it.
             tasks = [
-                replace(task, traceparent=ctx.child().to_traceparent())
+                replace(task, traceparent=ctx.to_traceparent())
                 for task in tasks
             ]
         jobs: List[QueuedJob] = []

@@ -223,8 +223,14 @@ class TestGridOrderAndJobs:
         ]
 
     def test_jobs_count_never_changes_canonical_records(self):
-        inline = synthesize_many(self._specs(), CMOS_5UM, jobs=1)
-        pooled = synthesize_many(self._specs(), CMOS_5UM, jobs=4)
+        # collect_trace=True: the design trace is part of the canonical
+        # record, so it must be byte-stable too (no timestamps).
+        inline = synthesize_many(
+            self._specs(), CMOS_5UM, jobs=1, collect_trace=True
+        )
+        pooled = synthesize_many(
+            self._specs(), CMOS_5UM, jobs=4, collect_trace=True
+        )
         assert [r.canonical() for r in pooled] == [
             _round_trip(r.canonical()) for r in inline
         ]

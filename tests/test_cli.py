@@ -462,7 +462,7 @@ class TestObservabilityCli:
         capsys.readouterr()
         assert main(["stats", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "JSONL trace:" in out
+        assert "Run report:" in out  # the same summary as a live run
         assert "synthesize" in out
 
     def test_stats_runs_observed_synthesis(self, capsys):

@@ -24,7 +24,6 @@ from .schematic import schematic_report
 from .graph import (
     CanonicalForm,
     canonical_form,
-    device_net_graph,
     element_terminals,
     wl_fingerprint,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "schematic_report",
     "CanonicalForm",
     "canonical_form",
-    "device_net_graph",
     "element_terminals",
     "wl_fingerprint",
 ]

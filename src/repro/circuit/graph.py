@@ -1,13 +1,13 @@
-"""Labeled bipartite device-net graph view and canonical ordering.
+"""Canonical ordering of a circuit's labeled device-net graph.
 
 A :class:`~repro.circuit.netlist.Circuit` is structurally a bipartite
 graph: device vertices on one side, net vertices on the other, edges
 labeled with the terminal role (``d``/``g``/``s``/``b`` for MOSFETs,
 ``+``/``-`` for sources, an unordered ``t`` for two-terminal passives).
-This module materialises that view (:func:`device_net_graph`) and
-derives a *canonical ordering* of it (:func:`canonical_form`): a total
-order over devices and nets that depends only on circuit structure and
-element values -- never on the names chosen for devices or nets, nor on
+This module derives a *canonical ordering* of that graph
+(:func:`canonical_form`) without materialising it: a total order over
+devices and nets that depends only on circuit structure and element
+values -- never on the names chosen for devices or nets, nor on
 declaration order.  Two circuits that differ only by a relabeling
 produce byte-identical canonical signatures.
 
@@ -38,8 +38,6 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
-
 from .elements import (
     GROUND,
     Capacitor,
@@ -53,7 +51,6 @@ from .netlist import Circuit
 
 __all__ = [
     "element_terminals",
-    "device_net_graph",
     "CanonicalForm",
     "canonical_form",
     "wl_fingerprint",
@@ -112,29 +109,6 @@ def _kind_key(element: Element) -> Tuple[object, ...]:
     if isinstance(element, CurrentSource):
         return ("isource", float(element.dc), float(element.ac))
     raise TypeError(f"unknown element type {type(element).__name__}")
-
-
-def device_net_graph(circuit: Circuit) -> "nx.Graph":
-    """The labeled bipartite device-net graph.
-
-    Vertices are ``("device", name)`` and ``("net", name)`` tuples with
-    a ``kind`` attribute; edges carry the terminal ``role``.  Parallel
-    terminals of one device on the same net (e.g. a diode-connected
-    MOSFET's drain and gate) are folded into one edge whose role is the
-    ``+``-joined sorted role set (``"d+g"``).
-    """
-    graph = nx.Graph()
-    for element in circuit.elements:
-        dev = ("device", element.name)
-        graph.add_node(dev, kind="device", element=element)
-        roles: Dict[str, List[str]] = {}
-        for role, net in element_terminals(element):
-            roles.setdefault(net, []).append(role)
-        for net, role_list in roles.items():
-            net_vertex = ("net", net)
-            graph.add_node(net_vertex, kind="net", ground=net == GROUND)
-            graph.add_edge(dev, net_vertex, role="+".join(sorted(role_list)))
-    return graph
 
 
 @dataclass(frozen=True)

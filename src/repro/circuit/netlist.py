@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set, Tuple
 
-import networkx as nx
-
 from ..errors import NetlistError
 from .elements import (
     GROUND,
@@ -20,7 +18,19 @@ from .elements import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .graph import CanonicalForm
 
-__all__ = ["Circuit"]
+__all__ = ["Circuit", "component"]
+
+
+def component(adjacency: Dict[str, Set[str]], start: str) -> Set[str]:
+    """The nodes reachable from ``start`` (itself included) in ``adjacency``."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        for neighbour in adjacency[frontier.pop()]:
+            if neighbour not in seen:
+                seen.add(neighbour)
+                frontier.append(neighbour)
+    return seen
 
 
 class Circuit:
@@ -151,44 +161,29 @@ class Circuit:
     # ------------------------------------------------------------------
     # Structure / validation
     # ------------------------------------------------------------------
-    def connectivity_graph(self, dc_only: bool = False) -> "nx.Graph":
-        """Undirected element-connectivity graph over nodes.
+    def connectivity_graph(self, dc_only: bool = False) -> Dict[str, Set[str]]:
+        """Node adjacency: each node maps to the nodes an element joins it to.
 
-        With ``dc_only`` capacitors are skipped (no DC path through a cap)
-        and MOSFETs connect all four terminals (gate leakage is zero, but a
-        floating gate driven by nothing is a genuine error, so gates count
-        for connectivity purposes only through :meth:`validate`'s separate
-        driven-gate check).
+        Every node of the circuit is a key, linked or not.  With
+        ``dc_only`` only DC current paths count: capacitors and current
+        sources are open at DC and are skipped, and a MOSFET joins its
+        drain to its source only (the gate draws no DC current; an
+        undriven gate is ERC105's finding).
         """
-        graph = nx.Graph()
+        graph: Dict[str, Set[str]] = {
+            node: set() for element in self._elements for node in element.nodes
+        }
         for element in self._elements:
-            nodes = element.nodes
-            if dc_only and isinstance(element, Capacitor):
+            if dc_only and isinstance(element, (Capacitor, CurrentSource)):
                 continue
             if dc_only and isinstance(element, Mosfet):
-                # DC current paths exist drain<->source; bulk ties to its
-                # node; the gate draws no DC current.
-                graph.add_edge(element.drain, element.source, element=element.name)
-                graph.add_node(element.bulk)
-                graph.add_node(element.gate)
-                continue
-            first = nodes[0]
-            graph.add_node(first)
-            for other in nodes[1:]:
-                graph.add_edge(first, other, element=element.name)
+                first, *others = element.drain, element.source
+            else:
+                first, *others = element.nodes
+            for other in others:
+                graph[first].add(other)
+                graph[other].add(first)
         return graph
-
-    def device_graph(self) -> "nx.Graph":
-        """The labeled bipartite device-net graph view.
-
-        See :func:`repro.circuit.graph.device_net_graph`: device and net
-        vertices, edges labeled with terminal roles -- the substrate the
-        topology motif matchers and canonicalization work on.
-        """
-        # Imported lazily: repro.circuit.graph imports this module.
-        from .graph import device_net_graph
-
-        return device_net_graph(self)
 
     def canonical_form(self) -> "CanonicalForm":
         """Relabeling-invariant canonical ordering of this circuit.

@@ -39,8 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-import networkx as nx
-
 from ..circuit.elements import (
     GROUND,
     Capacitor,
@@ -48,7 +46,7 @@ from ..circuit.elements import (
     Mosfet,
     VoltageSource,
 )
-from ..circuit.netlist import Circuit
+from ..circuit.netlist import Circuit, component
 from ..process.parameters import ProcessParameters
 from .diagnostics import Diagnostic, LintReport, Severity
 from .registry import ERC_REGISTRY
@@ -129,13 +127,11 @@ def check_reachability(
     circuit: Circuit, context: LintContext
 ) -> Iterator[Diagnostic]:
     """Every node must be connected (by any element) to ground."""
-    if len(circuit) == 0:
-        return
     graph = circuit.connectivity_graph(dc_only=False)
     if GROUND not in graph:
         return  # ERC102 already covers the missing reference
-    reachable = set(nx.node_connected_component(graph, GROUND))
-    for node in sorted(set(graph.nodes) - reachable):
+    reachable = component(graph, GROUND)
+    for node in sorted(set(graph) - reachable):
         yield Diagnostic(
             "ERC103",
             Severity.ERROR,
@@ -152,33 +148,13 @@ def check_reachability(
 def check_dc_path(circuit: Circuit, context: LintContext) -> Iterator[Diagnostic]:
     """Nodes coupled to ground only through capacitors or current sources
     leave the DC operating point undefined (gmin shunts aside)."""
-    if len(circuit) == 0:
-        return
     graph = circuit.connectivity_graph(dc_only=True)
     if GROUND not in graph:
-        return
-    # A current source is an open circuit at DC: drop its edge unless
-    # some other element also bridges the same node pair.
-    pair_count: Dict[Tuple[str, str], int] = {}
-    for element in circuit.elements:
-        nodes = element.nodes
-        for other in nodes[1:]:
-            key = tuple(sorted((nodes[0], other)))
-            pair_count[key] = pair_count.get(key, 0) + 1
-    for source in circuit.of_type(CurrentSource):
-        key = tuple(sorted((source.positive, source.negative)))
-        if pair_count.get(key, 0) == 1 and graph.has_edge(*key):
-            graph.remove_edge(*key)
-    reachable = set(nx.node_connected_component(graph, GROUND))
-    any_graph = circuit.connectivity_graph(dc_only=False)
-    grounded = (
-        set(nx.node_connected_component(any_graph, GROUND))
-        if GROUND in any_graph
-        else set()
-    )
-    # Candidate nodes come from the *full* graph: a node touched only by
-    # capacitors never even appears in the DC-only graph.
-    for node in sorted(grounded - reachable - {GROUND}):
+        return  # ERC102 already covers the missing reference
+    reachable = component(graph, GROUND)
+    # Islands with no path to ground at all are ERC103's finding.
+    grounded = component(circuit.connectivity_graph(dc_only=False), GROUND)
+    for node in sorted(grounded - reachable):
         yield Diagnostic(
             "ERC104",
             Severity.WARNING,

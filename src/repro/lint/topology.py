@@ -31,12 +31,10 @@ the test suite both enforce.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
-
-import networkx as nx
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..circuit.graph import element_terminals, wl_fingerprint
-from ..circuit.netlist import Circuit
+from ..circuit.netlist import Circuit, component
 from ..obs import count, span
 from ..process.parameters import ProcessParameters
 from .constraints import ConstraintSet, derive_constraints
@@ -222,24 +220,25 @@ def check_unrecognized_clusters(
     """Connected clusters of devices that matched no motif."""
     view = context.analysis.view
     leftover = view.unclaimed()
-    if not leftover:
-        return
-    graph: "nx.Graph" = nx.Graph()
+    graph: Dict[str, Set[str]] = {mosfet.name: set() for mosfet in leftover}
     net_members: Dict[str, List[str]] = {}
     for mosfet in leftover:
-        graph.add_node(mosfet.name)
         for net in set(mosfet.nodes):
             if net in view.rails:
                 continue
             net_members.setdefault(net, []).append(mosfet.name)
     for names in net_members.values():
         for other in names[1:]:
-            graph.add_edge(names[0], other)
-    clusters = sorted(
-        (sorted(component) for component in nx.connected_components(graph)),
-        key=lambda c: c[0],
-    )
-    for members in clusters:
+            graph[names[0]].add(other)
+            graph[other].add(names[0])
+    # Walking names in sorted order starts each cluster at its first
+    # member, so the clusters come out ordered by first member.
+    seen: Set[str] = set()
+    for name in sorted(graph):
+        if name in seen:
+            continue
+        members = sorted(component(graph, name))
+        seen.update(members)
         yield Diagnostic(
             "TOPO601",
             Severity.WARNING,

@@ -1,8 +1,9 @@
 """The runtime imports only what it uses.
 
-The simulator solves dense systems with numpy alone; scipy is not a
-dependency.  A fresh interpreter that imports the package, or runs a
-whole ``repro synth``, must not load it.
+The simulator solves dense systems with numpy alone, and the lint
+passes walk their own adjacency dicts: neither scipy nor networkx is a
+dependency.  A fresh interpreter that imports the package, runs a whole
+``repro synth`` or lints with the topology pass must load neither.
 """
 
 import os
@@ -14,23 +15,30 @@ import pytest
 
 SRC = str(Path(__file__).parent.parent / "src")
 
-SCRIPTS = {
-    "import": "import repro",
-    "synth": (
+
+def _cli(*argv):
+    return (
         "import contextlib, io\n"
         "from repro import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = cli.main(['synth', '--testcase', 'A'])\n"
+        f"    code = cli.main({list(argv)!r})\n"
         "assert not code, code\n"
-    ),
+    )
+
+
+SCRIPTS = {
+    "import": "import repro",
+    "synth": _cli("synth", "--testcase", "A"),
+    "lint": _cli("lint", "--testcase", "A", "--topology"),
 }
 
 
+@pytest.mark.parametrize("module", ["networkx", "scipy"])
 @pytest.mark.parametrize("name", sorted(SCRIPTS))
-def test_scipy_is_not_loaded(name):
+def test_module_is_not_loaded(name, module):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    script = SCRIPTS[name] + "\nimport sys\nprint('scipy' in sys.modules)\n"
+    script = SCRIPTS[name] + f"\nimport sys\nprint({module!r} in sys.modules)\n"
     proc = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True,

@@ -8,7 +8,15 @@ import json
 import pytest
 
 from repro import CMOS_5UM, OpAmpSpec
-from repro.circuit import Circuit, from_spice, to_spice
+from repro.circuit import (
+    Capacitor,
+    Circuit,
+    CurrentSource,
+    Resistor,
+    VoltageSource,
+    from_spice,
+    to_spice,
+)
 from repro.circuit.elements import GROUND
 from repro.circuit.netlist_io import parse_deck
 from repro.errors import LintError, NetlistError
@@ -33,6 +41,18 @@ def _grounded_anchor(circuit):
     """A minimal legal grounded sub-network to hang fixtures off."""
     circuit.add_vsource("vref", "anchor", GROUND, 1.0)
     circuit.add_resistor("ranchor", "anchor", GROUND, 1e3)
+
+
+#: Two-terminal element kinds for table-driven fixtures: class, value.
+_KINDS = {
+    "v": (VoltageSource, 1.0),
+    "r": (Resistor, 1e3),
+    "c": (Capacitor, 1e-12),
+    "i": (CurrentSource, 1e-6),
+}
+
+#: A grounded anchor feeding node "mid" through a current source only.
+_FEED_MID = [("v", "anchor", GROUND), ("r", "anchor", GROUND), ("i", "anchor", "mid")]
 
 
 def broken_circuit():
@@ -89,6 +109,32 @@ class TestErcTriggers:
         c.add_isource("i1", "anchor", "mid", 1e-6)
         c.add_isource("i2", "mid", GROUND, 1e-6)
         assert "ERC104" in lint_circuit(c).codes()
+
+    @pytest.mark.parametrize(
+        "elements, flagged",
+        [
+            # A capacitor beside the current source is no DC path either.
+            (_FEED_MID + [("i", "mid", GROUND), ("c", "mid", GROUND)], ["mid"]),
+            # Nor is a second current source in parallel.
+            (_FEED_MID + [("i", "mid", GROUND), ("i", "mid", GROUND)], ["mid"]),
+            # Ground touched only by capacitors: the vsource/resistor
+            # loop floats at DC as a whole.
+            (
+                [("v", "a", "b"), ("r", "a", "b"), ("c", "a", GROUND),
+                 ("c", "b", GROUND)],
+                ["a", "b"],
+            ),
+        ],
+        ids=["isource-parallel-cap", "parallel-isources", "cap-only-ground"],
+    )
+    def test_erc104_no_dc_path(self, elements, flagged):
+        c = Circuit("c")
+        for i, (kind, node_a, node_b) in enumerate(elements):
+            cls, value = _KINDS[kind]
+            c.add(cls(f"{kind}{i}", node_a, node_b, value))
+        report = lint_circuit(c)
+        assert report.codes() == ["ERC104"]
+        assert [d.location for d in report] == [f"c:{n}" for n in flagged]
 
     def test_erc104_not_fired_when_resistor_parallels_isource(self):
         c = Circuit("c")

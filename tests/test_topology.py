@@ -275,6 +275,24 @@ class TestSeededDefects:
         assert len(diags) == 1
         assert "m1" in diags[0].message
 
+    def test_unrecognized_clusters_sorted_and_ordered_topo601(self):
+        c = Circuit("odd")
+        c.add_vsource("vdd", "vdd", "0", 5.0)
+        c.add_vsource("vin", "in", "0", 2.5)
+        # Three source-degenerated stages.  "in" is a rail, so it joins
+        # nothing; net x (md's drain, mb's gate) joins md and mb.
+        for name, drain, gate in (("mc", "oc", "in"), ("md", "x", "in"),
+                                  ("mb", "ob", "x")):
+            c.add_mosfet(name, drain, gate, f"s{name}", "0", "nmos",
+                         10e-6, 5e-6)
+            c.add_resistor(f"rs{name}", f"s{name}", "0", 1e3)
+            c.add_resistor(f"rl{name}", "vdd", drain, 10e3)
+        _, report = lint_topology(c)
+        assert [d.message for d in report if d.code == "TOPO601"] == [
+            "unrecognized device cluster: mb, md matched no topology motif",
+            "unrecognized device cluster: mc matched no topology motif",
+        ]
+
     def test_shared_tail_fires_topo604(self):
         circuit = _case_circuit("A")
         analysis = analyze_topology(circuit)

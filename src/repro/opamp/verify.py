@@ -7,19 +7,29 @@ in-repo MNA simulator:
 * **offset**: the differential input voltage that centres the output,
   found by bisection on DC operating points (this *is* the measured
   input-referred offset, systematic effects included);
+  :func:`offset_nulled_bench` runs that search once and returns the
+  open-loop testbench and operating point at the offset;
 * **gain / UGF / phase margin**: open-loop AC analysis at the
   offset-nulled operating point;
 * **output swing**: a unity-gain buffer swept across the rails; the
   swing is where the buffer stops tracking;
 * **slew rate**: large-signal step response of the unity-gain buffer;
-* **power**: total supply power at the quiescent point.
+* **power**: total supply power at the quiescent point;
+* optionally **CMRR / PSRR** and **input-referred noise**, from the
+  same offset-nulled operating point.
+
+:func:`verify_opamp` searches for the offset once and takes offset,
+power, AC, rejection and noise from that one bench.  The public
+single-measurement entry points (:func:`open_loop_response`,
+:func:`measure_rejection`, :func:`input_noise_spectrum`,
+:func:`measure_input_noise`) each run their own search.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -37,6 +47,7 @@ from ..simulator.analysis import (
     slew_rate_from_waveform,
 )
 from ..simulator.dc import operating_point
+from ..simulator.mna import OperatingPointResult
 from ..simulator.transient import step_waveform, transient_analysis
 from .result import DesignedOpAmp
 
@@ -71,45 +82,75 @@ def _open_loop_testbench(amp: DesignedOpAmp, vin_offset: float) -> Circuit:
     return builder.build()
 
 
-def _find_offset(
+def offset_nulled_bench(
     amp: DesignedOpAmp,
-    search: float = 0.3,
-    iterations: int = 40,
-    target_tolerance: float = 1e-3,
-):
+    vth_shifts: Optional[Dict[str, float]] = None,
+    centre: float = 0.0,
+) -> Tuple[float, Circuit, OperatingPointResult]:
     """Bisect the differential input that centres the output at 0 V.
 
-    Returns (offset_voltage, operating_point) or raises SimulationError
-    when the output cannot be centred within the search window (the amp
-    is broken or railed).
+    The window is ``centre +- 0.3`` volts and the search stops once the
+    output is within 1 mV of 0 V (or after 40 halvings); ``vth_shifts``
+    perturbs the device thresholds (the Monte Carlo mismatch hook).  Every
+    open-loop measurement starts from the bench this returns, so one
+    verification searches for the offset once.
+
+    Returns:
+        ``(offset, circuit, op)``: the offset voltage, the open-loop
+        testbench driven at it, and its operating point.  That last
+        solve threads ``amp.trace``, so a solve that needed the retry
+        ladder leaves its escalation history next to the plan events.
+
+    Raises:
+        SimulationError: when the output cannot be centred within the
+            window (the amp is broken or railed).
     """
 
-    def output_at(vin: float):
+    def output_at(vin: float) -> float:
         circuit = _open_loop_testbench(amp, vin)
-        op = operating_point(circuit, amp.process)
-        return op.voltage("out"), op
+        op = operating_point(circuit, amp.process, vth_shifts=vth_shifts)
+        return op.voltage("out")
 
-    lo, hi = -search, search
-    v_lo, _ = output_at(lo)
-    v_hi, _ = output_at(hi)
+    search = 0.3
+    lo, hi = centre - search, centre + search
+    v_lo = output_at(lo)
+    v_hi = output_at(hi)
     if v_lo > 0 or v_hi < 0:
         raise SimulationError(
             f"output does not cross 0 V within +-{search} V differential "
             f"input (got {v_lo:.2f} V .. {v_hi:.2f} V); amplifier polarity "
             f"or bias is broken"
         )
-    best_op = None
-    mid = 0.0
-    for _ in range(iterations):
+    mid = centre
+    for _ in range(40):
         mid = 0.5 * (lo + hi)
-        v_mid, best_op = output_at(mid)
-        if abs(v_mid) < target_tolerance:
+        v_mid = output_at(mid)
+        if abs(v_mid) < 1e-3:
             break
         if v_mid > 0:
             hi = mid
         else:
             lo = mid
-    return mid, best_op
+    circuit = _open_loop_testbench(amp, mid)
+    op = operating_point(
+        circuit, amp.process, vth_shifts=vth_shifts, trace=amp.trace
+    )
+    return mid, circuit, op
+
+
+def _open_loop_ac(
+    amp: DesignedOpAmp,
+    circuit: Circuit,
+    op: OperatingPointResult,
+    f_start: float = 1.0,
+    f_stop: Optional[float] = None,
+    points_per_decade: int = 15,
+) -> FrequencyResponse:
+    if f_stop is None:
+        f_stop = max(10.0 * amp.spec.unity_gain_hz, 1e7)
+    freqs = log_frequencies(f_start, f_stop, points_per_decade)
+    ac = ac_analysis(circuit, amp.process, op, freqs)
+    return FrequencyResponse(freqs, ac.voltage("out"))
 
 
 def open_loop_response(
@@ -123,16 +164,8 @@ def open_loop_response(
     The DC point is offset-nulled first so every device is in its
     intended region.
     """
-    offset, _ = _find_offset(amp)
-    circuit = _open_loop_testbench(amp, offset)
-    # Thread the amp's design trace through, so a solve that needed the
-    # retry ladder leaves its escalation history next to the plan events.
-    op = operating_point(circuit, amp.process, trace=amp.trace)
-    if f_stop is None:
-        f_stop = max(10.0 * amp.spec.unity_gain_hz, 1e7)
-    freqs = log_frequencies(f_start, f_stop, points_per_decade)
-    ac = ac_analysis(circuit, amp.process, op, freqs)
-    return FrequencyResponse(freqs, ac.voltage("out"))
+    _, circuit, op = offset_nulled_bench(amp)
+    return _open_loop_ac(amp, circuit, op, f_start, f_stop, points_per_decade)
 
 
 def _buffer_testbench(amp: DesignedOpAmp, vin: float) -> Circuit:
@@ -214,12 +247,16 @@ def measure_rejection(
         ``{"cmrr_db", "psrr_vdd_db", "psrr_vss_db"}`` (a PSRR key is
         omitted when the circuit has no corresponding supply source).
     """
-    offset, _ = _find_offset(amp)
-    circuit = _open_loop_testbench(amp, offset)
-    # Thread the amp's design trace through, so a solve that needed the
-    # retry ladder leaves its escalation history next to the plan events.
-    op = operating_point(circuit, amp.process, trace=amp.trace)
+    _, circuit, op = offset_nulled_bench(amp)
+    return _rejection(amp, circuit, op, frequency)
 
+
+def _rejection(
+    amp: DesignedOpAmp,
+    circuit: Circuit,
+    op: OperatingPointResult,
+    frequency: float = 100.0,
+) -> Dict[str, float]:
     def out_amplitude(overrides: Dict[str, complex]) -> float:
         base = {"vin": 0.0, "vinn": 0.0, "vdd": 0.0, "vss": 0.0}
         base.update(overrides)
@@ -249,14 +286,15 @@ def input_noise_spectrum(amp: DesignedOpAmp, frequencies):
         :class:`~repro.simulator.noise.NoiseResult` with per-element
         attribution.
     """
+    _, circuit, op = offset_nulled_bench(amp)
+    return _noise_spectrum(amp, circuit, op, list(frequencies))
+
+
+def _noise_spectrum(
+    amp: DesignedOpAmp, circuit: Circuit, op: OperatingPointResult, freqs: list
+):
     from ..simulator.noise import noise_analysis
 
-    freqs = list(frequencies)
-    offset, _ = _find_offset(amp)
-    circuit = _open_loop_testbench(amp, offset)
-    # Thread the amp's design trace through, so a solve that needed the
-    # retry ladder leaves its escalation history next to the plan events.
-    op = operating_point(circuit, amp.process, trace=amp.trace)
     ac = ac_analysis(circuit, amp.process, op, freqs)
     gain = np.abs(ac.voltage("out"))
     noise = noise_analysis(circuit, amp.process, op, freqs, "out")
@@ -277,8 +315,18 @@ def measure_input_noise(
         ``{"input_noise_nv_1k", "input_noise_nv_100k",
         "noise_dominant_element"}``.
     """
+    _, circuit, op = offset_nulled_bench(amp)
+    return _input_noise(amp, circuit, op, frequencies)
+
+
+def _input_noise(
+    amp: DesignedOpAmp,
+    circuit: Circuit,
+    op: OperatingPointResult,
+    frequencies: Optional[list] = None,
+) -> Dict[str, float]:
     freqs = frequencies or [1e3, 1e5]
-    density_nv, noise = input_noise_spectrum(amp, freqs)
+    density_nv, noise = _noise_spectrum(amp, circuit, op, list(freqs))
     results = {
         "input_noise_nv_1k": float(density_nv[0]),
         "noise_dominant_element": noise.dominant_contributor(0),
@@ -302,6 +350,13 @@ def verify_opamp(
         measure_swing / measure_slew: the DC-sweep and transient
             measurements dominate runtime; benches that only need AC
             numbers can skip them.
+        measure_rejections: also measure CMRR and PSRR (keys
+            ``cmrr_db``, ``psrr_vdd_db``, ``psrr_vss_db``); a failure
+            becomes ``notes["rejection"]``.
+        measure_noise: also measure input-referred noise (keys
+            ``input_noise_nv_1k``, ``input_noise_nv_100k``, with the
+            dominant contributor in ``notes["noise_dominant_element"]``);
+            a failure becomes ``notes["noise"]``.
 
     Returns:
         A :class:`VerificationReport` whose ``measured`` dict mirrors the
@@ -313,14 +368,14 @@ def verify_opamp(
         f"verify:{amp.style}", category="verify", style=amp.style
     ) as verify_span:
         with obs_span("verify:offset", category="verify"):
-            offset, op = _find_offset(amp)
+            offset, circuit, op = offset_nulled_bench(amp)
         report.offset_v = offset
         report.measured["offset_mv"] = abs(offset) * 1e3
         report.measured["power"] = abs(op.total_power())
         metric_count("verify.measurements", phase="offset")
 
         with obs_span("verify:ac", category="verify"):
-            response = open_loop_response(amp)
+            response = _open_loop_ac(amp, circuit, op)
         metric_count("verify.measurements", phase="ac")
         report.measured["gain_db"] = response.dc_gain_db
         f_unity = crossover_frequency(response)
@@ -355,7 +410,7 @@ def verify_opamp(
         if measure_rejections:
             try:
                 with obs_span("verify:rejection", category="verify"):
-                    report.measured.update(measure_rejection(amp))
+                    report.measured.update(_rejection(amp, circuit, op))
                 metric_count("verify.measurements", phase="rejection")
             except (ConvergenceError, SimulationError) as exc:
                 report.notes["rejection"] = f"CMRR/PSRR failed: {exc}"
@@ -364,7 +419,7 @@ def verify_opamp(
         if measure_noise:
             try:
                 with obs_span("verify:noise", category="verify"):
-                    results = measure_input_noise(amp)
+                    results = _input_noise(amp, circuit, op)
                 report.notes["noise_dominant_element"] = results.pop(
                     "noise_dominant_element"
                 )

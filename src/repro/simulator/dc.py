@@ -1,15 +1,14 @@
 """DC operating-point solver: damped Newton-Raphson with homotopy.
 
-The solve strategy mirrors SPICE2 practice, formalized as a declarative
-:class:`~repro.resilience.RetryLadder` (see
-:func:`build_dc_ladder`):
+The solve strategy mirrors SPICE2 practice: :func:`operating_point`
+climbs the fixed escalation sequence :data:`RUNGS`, cheapest first:
 
 1. *plain* Newton-Raphson from the initial guess, undamped, with a
    short iteration cap and early divergence bail -- the cheap
    quadratic-convergence path for *warm* starts (sweep continuation,
    transient restarts).  From a cold flat start undamped NR mostly
-   oscillates, so :func:`operating_point` drops this rung unless an
-   initial guess was supplied;
+   oscillates, so this rung runs only when a non-zero initial guess
+   was supplied;
 2. *damped* Newton-Raphson: per-iteration voltage-step limiting;
 3. on failure, *gmin stepping*: converge with a large gmin shunt on
    every node, then relax gmin decade by decade, re-converging each
@@ -17,11 +16,13 @@ The solve strategy mirrors SPICE2 practice, formalized as a declarative
 4. on failure, *source stepping*: ramp all independent sources from 0
    to 100 % in increments, converging at each level.
 
-Each rung's failure is chained (``raise ... from``) into the next, the
+Each rung runs in a ``rung:<name>`` span and is counted in the
+``ladder.*`` metrics; a failed rung logs ``ladder.rung_failed``.  A
+rung's failure is chained (``__cause__``) into the next rung's, the
 terminal :class:`~repro.errors.ConvergenceError` carries the
-*cumulative* iteration count across every rung, and the full
-escalation history can be recorded into a
-:class:`~repro.kb.trace.DesignTrace`.
+*cumulative* iteration count across every rung, and the escalation
+history of a solve that needed more than one rung is recorded into the
+caller's :class:`~repro.kb.trace.DesignTrace` as ``ladder`` events.
 
 :func:`newton_solve` is the simulator's one DC Newton loop: each
 iteration assembles through :meth:`MnaSystem.assemble_dc` (so the solver
@@ -35,8 +36,7 @@ escalation path exercisable in tests (see :mod:`repro.resilience.faults`).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -45,16 +45,19 @@ from ..circuit.netlist import Circuit
 from ..devices.mosfet import MosfetOperatingPoint, Region
 from ..errors import ConvergenceError
 from ..kb.trace import DesignTrace
+from ..obs.log import get_logger
 from ..obs.metrics import LATENCY_BUCKETS_MS
 from ..obs.spans import count as metric_count
 from ..obs.spans import observe as metric_observe
 from ..obs.spans import span as obs_span
 from ..process.parameters import ProcessParameters
-from ..resilience import Budget, LadderTrace, RetryLadder, Rung, current_budget
+from ..resilience import Budget, current_budget
 from ..resilience.faults import fault_point
 from .mna import MnaSystem, MosfetOperatingPoint, OperatingPointResult
 
-__all__ = ["operating_point", "newton_solve", "build_dc_ladder"]
+__all__ = ["operating_point", "newton_solve"]
+
+_log = get_logger("resilience")
 
 #: Absolute voltage tolerance, volts.
 VTOL = 1e-9
@@ -68,15 +71,9 @@ MAX_STEP = 1.0
 PLAIN_ITERATION_CAP = 25
 #: Consecutive residual-norm increases before the plain rung bails.
 DIVERGE_AFTER = 5
-
-
-@dataclass
-class _Solved:
-    """A converged rung outcome (pre-packaging)."""
-
-    x: np.ndarray
-    device_ops: Dict[str, MosfetOperatingPoint]
-    iterations: int
+#: The escalation sequence :func:`operating_point` climbs, cheapest
+#: first ("plain" only from a warm start).
+RUNGS = ("plain", "damped", "gmin", "source")
 
 
 def newton_solve(
@@ -178,23 +175,21 @@ def newton_solve(
     )
 
 
-def build_dc_ladder(
+def _run_rung(
+    rung: str,
     system: MnaSystem,
     x0: np.ndarray,
-    max_iterations: int = 150,
-    budget: Optional[Budget] = None,
-    block: str = "dc",
-) -> RetryLadder:
-    """The default DC escalation ladder over ``system``.
+    max_iterations: int,
+    budget: Optional[Budget],
+    block: str,
+):
+    """Run one escalation strategy from ``x0``.
 
-    Declarative and extensible: callers may take the returned ladder
-    and :meth:`~repro.resilience.RetryLadder.extended` /
-    :meth:`~repro.resilience.RetryLadder.without` it, or supply their
-    own via ``operating_point(..., ladder_factory=...)``.
+    Returns ``(x, device_ops, iterations)``; raises ConvergenceError on
+    failure.  The homotopy rungs chain their inner Newton failure.
     """
-
-    def plain(last: Optional[BaseException]) -> _Solved:
-        x, ops, used = newton_solve(
+    if rung == "plain":
+        return newton_solve(
             system,
             x0,
             1e-12,
@@ -205,79 +200,97 @@ def build_dc_ladder(
             budget=budget,
             block=block,
         )
-        return _Solved(x, ops, used)
-
-    def damped(last: Optional[BaseException]) -> _Solved:
-        x, ops, used = newton_solve(
+    if rung == "damped":
+        return newton_solve(
             system, x0, 1e-12, 1.0, max_iterations, budget=budget, block=block
         )
-        return _Solved(x, ops, used)
-
-    def gmin_stepping(last: Optional[BaseException]) -> _Solved:
-        x = x0.copy()
-        total = 0
-        try:
-            for exponent in range(3, 13):
-                gmin = 10.0 ** (-exponent)
-                x, ops, used = newton_solve(
-                    system, x, gmin, 1.0, max_iterations, budget=budget, block=block
-                )
-                total += used
+    if rung == "gmin":
+        steps = [(10.0 ** (-exponent), 1.0) for exponent in range(3, 13)]
+        steps.append((1e-12, 1.0))
+    else:
+        steps = [(1e-12, float(scale)) for scale in np.linspace(0.1, 1.0, 19)]
+    x = x0.copy()
+    total = 0
+    try:
+        for gmin, scale in steps:
             x, ops, used = newton_solve(
-                system, x, 1e-12, 1.0, max_iterations, budget=budget, block=block
+                system, x, gmin, scale, max_iterations, budget=budget, block=block
             )
             total += used
-        except ConvergenceError as exc:
-            raise ConvergenceError(
-                f"gmin stepping stalled at gmin={gmin:g}: {exc}",
-                total + exc.iterations,
-                rung="gmin",
-            ) from exc
-        return _Solved(x, ops, total)
+    except ConvergenceError as exc:
+        if rung == "gmin":
+            where = f"gmin stepping stalled at gmin={gmin:g}"
+        else:
+            where = f"source stepping stalled at {scale * 100:.0f} % drive"
+        raise ConvergenceError(
+            f"{where}: {exc}", total + exc.iterations, rung=rung
+        ) from exc
+    return x, ops, total
 
-    def source_stepping(last: Optional[BaseException]) -> _Solved:
-        x = x0.copy()
-        total = 0
+
+def _climb(
+    rungs: Tuple[str, ...],
+    system: MnaSystem,
+    x0: np.ndarray,
+    max_iterations: int,
+    budget: Optional[Budget],
+    block: str,
+):
+    """Try ``rungs`` in order until one converges.
+
+    Returns ``(x, device_ops, attempts)`` where ``attempts`` lists
+    ``(rung, iterations, error)`` per rung tried (``error`` is ``""``
+    on the rung that converged).  A rung's error gets the previous
+    rung's as ``__cause__`` unless it already chains its own; when
+    every rung fails the terminal error carries the cumulative
+    iteration count.  Anything but ConvergenceError (a
+    :class:`~repro.errors.BudgetExceeded`, a bug) propagates at once.
+    """
+    attempts: List[Tuple[str, int, str]] = []
+    last_error: Optional[ConvergenceError] = None
+    for rung in rungs:
+        began = time.monotonic()
+        error: Optional[ConvergenceError] = None
         try:
-            for scale in np.linspace(0.1, 1.0, 19):
-                x, ops, used = newton_solve(
-                    system,
-                    x,
-                    1e-12,
-                    float(scale),
-                    max_iterations,
-                    budget=budget,
-                    block=block,
+            with obs_span(
+                f"rung:{rung}", category="ladder", rung=rung, attempt=1
+            ):
+                x, device_ops, iterations = _run_rung(
+                    rung, system, x0, max_iterations, budget, block
                 )
-                total += used
         except ConvergenceError as exc:
-            raise ConvergenceError(
-                f"source stepping stalled at {float(scale) * 100:.0f} % "
-                f"drive: {exc}",
-                total + exc.iterations,
-                rung="source",
-            ) from exc
-        return _Solved(x, ops, total)
-
-    def exhausted(trace: LadderTrace, last: BaseException) -> BaseException:
-        return ConvergenceError(
-            f"{block}: DC operating point failed after "
-            f"{' -> '.join(trace.rungs_tried)} "
-            f"({trace.total_iterations} total iterations): {last}",
-            trace.total_iterations,
-            rung=trace.attempts[-1].rung if trace.attempts else "",
+            if last_error is not None and exc.__cause__ is None:
+                exc.__cause__ = last_error
+            last_error = error = exc
+            iterations = exc.iterations
+        elapsed_ms = (time.monotonic() - began) * 1e3
+        attempts.append((rung, iterations, "" if error is None else str(error)))
+        metric_count(
+            "ladder.attempts", rung=rung, outcome="ok" if error is None else "failed"
         )
-
-    return RetryLadder(
-        rungs=(
-            Rung("plain", plain, description="undamped NR, short cap"),
-            Rung("damped", damped, description="step-limited NR"),
-            Rung("gmin", gmin_stepping, description="gmin homotopy"),
-            Rung("source", source_stepping, description="source ramp homotopy"),
-        ),
-        retry_on=(ConvergenceError,),
-        exhausted=exhausted,
-    )
+        metric_observe(
+            "ladder.rung_ms", elapsed_ms, bounds=LATENCY_BUCKETS_MS, rung=rung
+        )
+        if error is not None:
+            _log.warning(
+                "ladder.rung_failed",
+                rung=rung,
+                attempt=1,
+                iterations=iterations,
+                elapsed_ms=round(elapsed_ms, 3),
+                error=str(error),
+            )
+        if iterations:
+            metric_count("ladder.iterations", n=iterations, rung=rung)
+        if error is None:
+            return x, device_ops, attempts
+    total = sum(iterations for _, iterations, _ in attempts)
+    raise ConvergenceError(
+        f"{block}: DC operating point failed after {' -> '.join(rungs)} "
+        f"({total} total iterations): {last_error}",
+        total,
+        rung=rungs[-1],
+    ) from last_error
 
 
 # ----------------------------------------------------------------------
@@ -379,9 +392,6 @@ def operating_point(
     strict: bool = False,
     budget: Optional[Budget] = None,
     trace: Optional[DesignTrace] = None,
-    ladder_factory: Optional[
-        Callable[[MnaSystem, np.ndarray, int, Optional[Budget], str], RetryLadder]
-    ] = None,
 ) -> OperatingPointResult:
     """Solve the DC operating point of ``circuit``.
 
@@ -401,9 +411,6 @@ def operating_point(
             iteration; defaults to the ambient budget, if any.
         trace: optional design trace; the ladder escalation history is
             recorded into it as ``ladder`` events.
-        ladder_factory: override the escalation ladder (defaults to
-            :func:`build_dc_ladder`); called as
-            ``factory(system, x0, max_iterations, budget, block)``.
 
     Returns:
         A converged :class:`OperatingPointResult` whose ``iterations``
@@ -424,9 +431,8 @@ def operating_point(
 
     # Deterministic memoization: with an ambient ResultCache, identical
     # (netlist, process, guess, mismatch) solves are answered from the
-    # cache.  Custom ladder factories opt out -- they exist precisely to
-    # observe the solve, not just its answer.
-    cache = current_cache() if ladder_factory is None else None
+    # cache.
+    cache = current_cache()
     op_key = ""
     if cache is not None:
         op_key = _op_cache_key(
@@ -445,20 +451,21 @@ def operating_point(
                 x0[system.node_index[node]] = voltage
 
     block = f"dc/{circuit.name}"
-    factory = ladder_factory or build_dc_ladder
-    ladder = factory(system, x0, max_iterations, budget, block)
-    if ladder_factory is None and not (initial_guess and np.any(x0)):
+    rungs = RUNGS
+    if not (initial_guess and np.any(x0)):
         # Cold start: undamped NR from a flat guess mostly oscillates
         # its full cap away before the damped rung redoes the work, so
         # the cheap rung only pays for itself on warm starts.
-        ladder = ladder.without("plain")
+        rungs = RUNGS[1:]
     solve_started = time.perf_counter()
     with obs_span(
         f"dc:{circuit.name}", category="sim",
         block=block, nodes=system.n_nodes,
     ) as solve_span:
         try:
-            solved, ladder_trace = ladder.climb()
+            x, device_ops, attempts = _climb(
+                rungs, system, x0, max_iterations, budget, block
+            )
         except ConvergenceError as exc:
             metric_count("dc.failures")
             metric_count("dc.newton.iterations", n=exc.iterations, rung="failed")
@@ -471,9 +478,9 @@ def operating_point(
             if trace is not None:
                 trace.ladder(block, exc.rung or "?", f"exhausted: {exc}")
             raise
-        total = ladder_trace.total_iterations
+        total = sum(iterations for _, iterations, _ in attempts)
         solve_span.set("iterations", total)
-        solve_span.set("rung", ladder_trace.succeeded_on())
+        solve_span.set("rung", attempts[-1][0])
         metric_count("dc.solves")
         # One LU factor-and-solve per Newton iteration (the single
         # np.linalg.solve in the inner loop).
@@ -485,22 +492,17 @@ def operating_point(
             bounds=LATENCY_BUCKETS_MS,
             status="ok",
         )
-        for attempt in ladder_trace.attempts:
-            metric_count(
-                "dc.newton.iterations", n=attempt.iterations, rung=attempt.rung
-            )
-    if trace is not None and len(ladder_trace.attempts) > 1:
-        for attempt in ladder_trace.attempts:
-            outcome = "converged" if attempt.ok else f"failed ({attempt.error})"
+        for rung, iterations, _ in attempts:
+            metric_count("dc.newton.iterations", n=iterations, rung=rung)
+    if trace is not None and len(attempts) > 1:
+        for rung, iterations, error in attempts:
+            outcome = f"failed ({error})" if error else "converged"
             trace.ladder(
                 block,
-                attempt.rung,
-                f"attempt {attempt.attempt}: {outcome} "
-                f"after {attempt.iterations} iterations",
+                rung,
+                f"attempt 1: {outcome} after {iterations} iterations",
             )
-    result = system.package_result(
-        solved.x, solved.device_ops, ladder_trace.total_iterations
-    )
+    result = system.package_result(x, device_ops, total)
     if cache is not None:
         cache.put("op", op_key, _op_to_payload(result))
     return result

@@ -1,4 +1,9 @@
-"""DC transfer sweeps (the machinery behind output-swing measurements)."""
+"""DC transfer sweeps: re-solve the operating point over a source's values.
+
+A general-purpose analysis (inverter and buffer transfer curves).  The
+op-amp output-swing measurement in :mod:`repro.opamp.verify` runs its
+own loop instead, because it skips points that fail to converge.
+"""
 
 from __future__ import annotations
 
@@ -23,8 +28,8 @@ class SweepResult:
 
     Attributes:
         values: swept source values (volts).
-        points: one converged operating point per value (None where the
-            solve failed, which callers may treat as out-of-range).
+        points: one converged operating point per value (a failed
+            point aborts the sweep, see :func:`dc_sweep`).
     """
 
     source: str
@@ -51,9 +56,9 @@ def dc_sweep(
 
     Raises:
         SimulationError: if ``source_name`` is not a voltage source.
-        ConvergenceError: if the very first point fails (later failures
-            abort the sweep with the same error, since a swing measurement
-            with holes is meaningless).
+        ConvergenceError: at the first point that fails to converge,
+            naming the source value; the solver's error is chained as
+            ``__cause__``.
     """
     element = circuit[source_name]
     if not isinstance(element, VoltageSource):

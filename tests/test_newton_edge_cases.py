@@ -1,12 +1,15 @@
-"""Newton solver edge cases and retry-ladder determinism properties.
+"""Newton solver edge cases, DC escalation, and determinism properties.
 
 Covers the failure modes that the escalation ladder must convert into
 structured, chained :class:`~repro.errors.ConvergenceError`s --
-singular Jacobians, non-finite updates, zero-iteration budgets -- plus
-hypothesis properties that the whole solve path is deterministic: the
-same circuit solved twice yields bit-identical voltages, identical
-iteration counts, and an identical rung history.
+singular Jacobians, non-finite updates, zero-iteration budgets -- the
+order in which :func:`operating_point` climbs its rungs (plain, damped,
+gmin, source), plus hypothesis properties that the whole solve path is
+deterministic: the same circuit solved twice yields bit-identical
+voltages, identical iteration counts, and an identical rung history.
 """
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -15,11 +18,12 @@ from hypothesis import strategies as st
 
 from repro.circuit import GROUND, Circuit
 from repro.errors import BudgetExceeded, ConvergenceError
+from repro.kb.trace import DesignTrace
+from repro.obs.spans import Tracer
 from repro.process import CMOS_5UM
 from repro.resilience import Budget, inject
 from repro.simulator import operating_point
-from repro.simulator.dc import build_dc_ladder, newton_solve
-from repro.simulator.mna import MnaSystem
+from repro.simulator.dc import newton_solve
 
 
 class _FakeSystem:
@@ -178,22 +182,16 @@ class TestLadderDeterminism:
         rungs in the same order with identical iteration counts."""
 
         def climb_once():
-            c = _mos_testbench()
-            system = MnaSystem(c, CMOS_5UM)
-            x0 = np.zeros(system.size)
-            ladder = build_dc_ladder(system, x0)
+            trace = DesignTrace()
             with inject("dc.newton", at_hit=1, times=2):
-                solved, trace = ladder.climb()
-            return solved, trace
+                op = operating_point(_mos_testbench(), CMOS_5UM, trace=trace)
+            return op, trace
 
-        (sol_a, trace_a), (sol_b, trace_b) = climb_once(), climb_once()
-        assert trace_a.rungs_tried == trace_b.rungs_tried
-        assert trace_a.succeeded_on() == trace_b.succeeded_on()
-        assert trace_a.total_iterations == trace_b.total_iterations
-        assert [a.iterations for a in trace_a.attempts] == [
-            b.iterations for b in trace_b.attempts
-        ]
-        assert np.array_equal(sol_a.x, sol_b.x)
+        (op_a, trace_a), (op_b, trace_b) = climb_once(), climb_once()
+        assert [e.step for e in trace_a.events] == ["damped", "gmin", "source"]
+        assert trace_a.to_dicts() == trace_b.to_dicts()
+        assert op_a.iterations == op_b.iterations
+        assert op_a.voltages == op_b.voltages
 
     @given(at_hit=st.integers(min_value=1, max_value=3))
     @settings(max_examples=6, deadline=None)
@@ -210,3 +208,114 @@ class TestLadderDeterminism:
         assert fired_a == fired_b
         assert op_a.iterations == op_b.iterations
         assert op_a.voltage("drain") == op_b.voltage("drain")
+
+
+#: Node seed that makes a solve warm (the plain rung runs first).
+WARM = {"drain": 1.0}
+
+
+def _solve_recording(initial_guess=None, **fault):
+    """Solve the MOSFET bench with ``dc.newton`` armed per ``fault``.
+
+    Returns (rungs tried in order, design trace, result or error).
+    """
+    tracer = Tracer()
+    trace = DesignTrace()
+    armed = inject("dc.newton", **fault) if fault else contextlib.nullcontext()
+    with tracer.activate(), armed:
+        try:
+            outcome = operating_point(
+                _mos_testbench(), CMOS_5UM, initial_guess, trace=trace
+            )
+        except ConvergenceError as exc:
+            outcome = exc
+    rungs = [
+        s.attributes["rung"]
+        for s in tracer.spans_by_start()
+        if s.name.startswith("rung:")
+    ]
+    return rungs, trace, outcome
+
+
+class TestDcEscalation:
+    """operating_point climbs plain -> damped -> gmin -> source."""
+
+    @pytest.mark.parametrize(
+        "guess, fault, tried, converged",
+        [
+            # A clean cold solve tries one rung.
+            pytest.param(None, {}, ["damped"], True, id="cold-clean"),
+            # Failures escalate damped -> gmin -> source.
+            pytest.param(None, {"times": 1}, ["damped", "gmin"], True, id="cold-1"),
+            pytest.param(
+                None, {"times": 2}, ["damped", "gmin", "source"], True, id="cold-2"
+            ),
+            pytest.param(
+                None,
+                {"times": -1},
+                ["damped", "gmin", "source"],
+                False,
+                id="cold-exhausted",
+            ),
+            # The plain rung runs only from a non-zero initial guess.
+            pytest.param(WARM, {}, ["plain"], True, id="warm-clean"),
+            pytest.param(WARM, {"times": 1}, ["plain", "damped"], True, id="warm-1"),
+            pytest.param(
+                WARM,
+                {"times": -1},
+                ["plain", "damped", "gmin", "source"],
+                False,
+                id="warm-exhausted",
+            ),
+            pytest.param({"drain": 0.0}, {}, ["damped"], True, id="zero-guess"),
+        ],
+    )
+    def test_rung_order(self, guess, fault, tried, converged):
+        rungs, trace, outcome = _solve_recording(guess, **fault)
+        assert rungs == tried
+        ladder = [e for e in trace.events if e.kind == "ladder"]
+        if not converged:
+            assert isinstance(outcome, ConvergenceError)
+            assert outcome.rung == "source"
+            assert f"after {' -> '.join(tried)} (" in str(outcome)
+            assert [e.detail.split(":")[0] for e in ladder] == ["exhausted"]
+        elif len(tried) == 1:
+            # A one-rung solve records no ladder events.
+            assert ladder == []
+        else:
+            assert [e.step for e in ladder] == tried
+            assert ladder[-1].detail.startswith("attempt 1: converged")
+            assert outcome.iterations == sum(
+                int(e.detail.rsplit("after ", 1)[1].split()[0]) for e in ladder
+            )
+
+    def test_causes_chain_and_iterations_sum_on_exhaustion(self):
+        injected = []
+
+        def refuse():
+            injected.append(ConvergenceError("injected", iterations=7))
+            return injected[-1]
+
+        rungs, _, exc = _solve_recording(WARM, times=-1, error=refuse)
+        assert isinstance(exc, ConvergenceError)
+        # One injected Newton failure per rung.
+        plain, damped, gmin_inner, source_inner = injected
+        # A rung's error has the previous rung's as __cause__ ...
+        assert damped.__cause__ is plain
+        # ... unless it chains its own: the homotopy rungs wrap the inner
+        # Newton failure that stalled them.
+        source = exc.__cause__
+        assert source.rung == "source"
+        assert source.__cause__ is source_inner
+        assert "source stepping stalled" in str(source)
+        # The terminal error sums the iterations of every rung tried.
+        assert exc.iterations == 7 * len(rungs) == 28
+
+    def test_budget_exceeded_propagates_without_later_rungs(self):
+        tracer = Tracer()
+        budget = Budget(newton_iterations=0, label="edge").start()
+        with tracer.activate():
+            with pytest.raises(BudgetExceeded):
+                operating_point(_mos_testbench(), CMOS_5UM, budget=budget)
+        rungs = [s.name for s in tracer.spans if s.name.startswith("rung:")]
+        assert rungs == ["rung:damped"]

@@ -10,6 +10,7 @@ import pytest
 from repro import CMOS_5UM, OpAmpSpec, synthesize, verify_opamp
 from repro.opamp.designer import design_style
 from repro.opamp.testcases import SPEC_A, SPEC_B, SPEC_C
+from repro.obs.spans import Tracer
 from repro.opamp.verify import open_loop_response
 from repro.simulator.analysis import crossover_frequency
 
@@ -67,6 +68,25 @@ class TestOpenLoop:
 
 
 class TestVerifyReports:
+    def test_offset_searched_once(self, amp_a):
+        """A full verification bisects for the offset once: it opens as
+        many open-loop DC solves as one open_loop_response call."""
+
+        def open_loop_solves(run):
+            tracer = Tracer()
+            with tracer.activate():
+                run()
+            return sum(s.name == "dc:ol_tb" for s in tracer.spans)
+
+        alone = open_loop_solves(lambda: open_loop_response(amp_a))
+        full = open_loop_solves(
+            lambda: verify_opamp(
+                amp_a, measure_rejections=True, measure_noise=True
+            )
+        )
+        assert alone > 2
+        assert full == alone
+
     def test_case_a_report(self, amp_a):
         report = verify_opamp(amp_a, measure_swing=False, measure_slew=False)
         assert report.get("gain_db") >= SPEC_A.gain_db

@@ -1,5 +1,6 @@
-"""Unit tests for the resilience layer: budgets, retry ladder, failure
-taxonomy, and the fault-injection harness itself."""
+"""Unit tests for the resilience layer: budgets, failure taxonomy, and the
+fault-injection harness itself.  The DC escalation ladder is tested in
+``tests/test_newton_edge_cases.py``."""
 
 import pytest
 
@@ -15,9 +16,6 @@ from repro.resilience import (
     FailureKind,
     FailureReport,
     FaultSpec,
-    LadderExhausted,
-    RetryLadder,
-    Rung,
     classify_exception,
     current_budget,
     inject,
@@ -131,108 +129,6 @@ class TestBudget:
         clock.advance_ms(60)
         budget.start()  # must not reset the baseline
         assert budget.elapsed_ms() == pytest.approx(60, abs=1)
-
-
-# ----------------------------------------------------------------------
-# Retry ladder
-# ----------------------------------------------------------------------
-class TestRetryLadder:
-    def make_ladder(self, fail_first_n_rungs, attempts_per_rung=1):
-        calls = []
-
-        def make_rung(i):
-            def run(last):
-                calls.append((i, last))
-                if i < fail_first_n_rungs:
-                    raise ConvergenceError(f"rung {i} failed", iterations=10)
-                return f"result-{i}"
-
-            return Rung(f"r{i}", run, attempts=attempts_per_rung)
-
-        ladder = RetryLadder(
-            [make_rung(i) for i in range(3)], retry_on=(ConvergenceError,)
-        )
-        return ladder, calls
-
-    def test_first_rung_success_skips_rest(self):
-        ladder, calls = self.make_ladder(0)
-        result, trace = ladder.climb()
-        assert result == "result-0"
-        assert len(calls) == 1
-        assert trace.succeeded_on() == "r0"
-
-    def test_escalation_chains_causes(self):
-        ladder, calls = self.make_ladder(2)
-        result, trace = ladder.climb()
-        assert result == "result-2"
-        assert trace.rungs_tried == ["r0", "r1", "r2"]
-        # Rung 2 received rung 1's error, whose cause is rung 0's.
-        _, last = calls[2]
-        assert "rung 1" in str(last)
-        assert "rung 0" in str(last.__cause__)
-
-    def test_exhaustion_raises_with_chain_and_iterations(self):
-        def always_fail(last):
-            raise ConvergenceError("nope", iterations=7)
-
-        ladder = RetryLadder(
-            [Rung("a", always_fail), Rung("b", always_fail, attempts=2)],
-            retry_on=(ConvergenceError,),
-        )
-        with pytest.raises(LadderExhausted) as excinfo:
-            ladder.climb()
-        err = excinfo.value
-        assert isinstance(err.__cause__, ConvergenceError)
-        assert err.trace.total_iterations == 21  # 1 + 2 attempts x 7
-        assert [a.rung for a in err.trace.attempts] == ["a", "b", "b"]
-
-    def test_custom_exhausted_factory(self):
-        def fail(last):
-            raise ConvergenceError("x", iterations=3)
-
-        def exhausted(trace, last):
-            return ConvergenceError(
-                "total collapse", iterations=trace.total_iterations
-            )
-
-        ladder = RetryLadder(
-            [Rung("only", fail)], retry_on=(ConvergenceError,), exhausted=exhausted
-        )
-        with pytest.raises(ConvergenceError) as excinfo:
-            ladder.climb()
-        assert excinfo.value.iterations == 3
-        assert isinstance(excinfo.value.__cause__, ConvergenceError)
-
-    def test_non_retryable_propagates_immediately(self):
-        calls = []
-
-        def boom(last):
-            calls.append(1)
-            raise ValueError("bug, not convergence")
-
-        ladder = RetryLadder(
-            [Rung("a", boom), Rung("b", boom)], retry_on=(ConvergenceError,)
-        )
-        with pytest.raises(ValueError):
-            ladder.climb()
-        assert len(calls) == 1
-
-    def test_declarative_surgery(self):
-        ladder, _ = self.make_ladder(0)
-        extended = ladder.extended(Rung("extra", lambda last: "x"), after="r0")
-        assert extended.rung_names() == ["r0", "extra", "r1", "r2"]
-        trimmed = extended.without("r1")
-        assert trimmed.rung_names() == ["r0", "extra", "r2"]
-        # The original is untouched (ladders are value-like).
-        assert ladder.rung_names() == ["r0", "r1", "r2"]
-
-    def test_empty_ladder_rejected(self):
-        with pytest.raises(ValueError):
-            RetryLadder([])
-
-    def test_duplicate_rung_names_rejected(self):
-        with pytest.raises(ValueError):
-            RetryLadder([Rung("a", lambda last: 1), Rung("a", lambda last: 2)])
 
 
 # ----------------------------------------------------------------------

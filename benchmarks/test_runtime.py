@@ -14,6 +14,7 @@ file as an artifact, seeding the performance trajectory across commits.
 
 import json
 import platform
+import sys
 import time
 from pathlib import Path
 
@@ -81,23 +82,35 @@ VERIFY_PHASES = ("offset", "ac", "swing", "slew")
 def _verify_run(amp, count_evaluations):
     """One traced ``verify_opamp`` call: (wall_ms, phase_ms, counters).
 
-    MOSFET model evaluations are counted by wrapping
-    ``MosfetModel.evaluate`` only when ``count_evaluations`` is set, so
-    the timed run carries no wrapper overhead.
+    MOSFET model evaluations are calls of the level-1 kernel
+    ``level1_dc``, wherever they run: the Newton loop's assemblies,
+    ``MosfetModel.evaluate`` (one per device per converged solve) and
+    the transient's capacitance refresh.  They are counted by wrapping
+    the kernel in every ``repro`` module that holds it, only when
+    ``count_evaluations`` is set, so the timed run carries no wrapper
+    overhead.
     """
-    from repro.devices.mosfet import MosfetModel
+    from repro.devices import mosfet
     from repro.obs import Tracer
     from repro.opamp.verify import verify_opamp
 
-    original = MosfetModel.evaluate
+    original = mosfet.level1_dc
     evaluations = [0]
 
-    def counted(self, *args, **kwargs):
+    def counted(*args):
         evaluations[0] += 1
-        return original(self, *args, **kwargs)
+        return original(*args)
 
+    holders = []
     if count_evaluations:
-        MosfetModel.evaluate = counted
+        holders = [
+            module
+            for name, module in list(sys.modules.items())
+            if name.split(".")[0] == "repro"
+            and getattr(module, "level1_dc", None) is original
+        ]
+        for module in holders:
+            module.level1_dc = counted
     tracer = Tracer()
     try:
         start = time.perf_counter()
@@ -105,7 +118,8 @@ def _verify_run(amp, count_evaluations):
             verify_opamp(amp)
         wall_ms = (time.perf_counter() - start) * 1e3
     finally:
-        MosfetModel.evaluate = original
+        for module in holders:
+            module.level1_dc = original
     phase_ms = {
         phase: sum(
             s.duration_ms for s in tracer.spans if s.name == f"verify:{phase}"

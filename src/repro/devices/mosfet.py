@@ -27,6 +27,14 @@ Consequently :class:`MosfetOperatingPoint` stores the *signed* partial
 derivatives ``gm = dId/dVgs``, ``gds = dId/dVds``, ``gmbs = dId/dVbs`` in
 the external frame; they are positive in normal forward operation for
 both polarities and may legitimately change sign in reversed mode.
+
+The model has one implementation, :func:`level1_dc`: current, signed
+partials, region, threshold and saturation voltage on plain Python
+floats from per-device constants, without capacitances.  The
+simulator's Newton loop calls it directly for every device;
+:meth:`MosfetModel.evaluate` wraps it and adds the capacitances into a
+:class:`MosfetOperatingPoint`, and :meth:`MosfetModel.capacitances`
+gives the capacitances alone.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ from ..process.parameters import (
     estimate_junction_perimeter,
 )
 
-__all__ = ["Region", "MosfetOperatingPoint", "MosfetModel"]
+__all__ = ["Region", "MosfetOperatingPoint", "MosfetModel", "level1_dc"]
 
 #: Softplus smoothing voltage, volts.  The effective overdrive is
 #: ``vov_eff = V0 * ln(1 + exp(vov / V0))``, which equals ``vov`` to within
@@ -55,17 +63,12 @@ _SMOOTH_V0 = 0.02
 #: Exponent clamp so exp() never overflows.
 _EXP_CLAMP = 40.0
 
+#: Softplus slope and ``vov_eff`` below the clamp (deep cutoff).
+_TAIL = math.exp(-_EXP_CLAMP)
+_TAIL_VOV_EFF = _SMOOTH_V0 * _TAIL
 
-def _smooth_overdrive(vov: float) -> Tuple[float, float]:
-    """Softplus-smoothed overdrive and its derivative d(vov_eff)/d(vov)."""
-    x = vov / _SMOOTH_V0
-    if x > _EXP_CLAMP:
-        return vov, 1.0
-    if x < -_EXP_CLAMP:
-        tail = math.exp(-_EXP_CLAMP)
-        return _SMOOTH_V0 * tail, tail
-    exp_x = math.exp(x)
-    return _SMOOTH_V0 * math.log1p(exp_x), exp_x / (1.0 + exp_x)
+#: Forward-bias clamp of ``phi - vbs`` in the body-effect term, volts.
+_PHI_CLAMP = 0.01
 
 
 class Region(enum.Enum):
@@ -117,6 +120,91 @@ class MosfetOperatingPoint:
         return math.inf if self.gds == 0 else 1.0 / abs(self.gds)
 
 
+#: Per-device constants of :func:`level1_dc`:
+#: ``(sign, |vto|, gamma, phi, sqrt(phi), beta, lambda)``.
+DeviceConstants = Tuple[float, float, float, float, float, float, float]
+
+
+def level1_dc(
+    c: DeviceConstants, vgs: float, vds: float, vbs: float
+) -> Tuple[float, float, float, float, Region, float, float]:
+    """The level-1 model on plain floats: current and signed partials.
+
+    ``vgs``/``vds``/``vbs`` are in the external (SPICE) frame and ``c``
+    is :attr:`MosfetModel.constants`.  Returns ``(ids, gm, gds, gmbs,
+    region, vth, vdsat)`` with the conventions of
+    :class:`MosfetOperatingPoint`; capacitances are left to
+    :meth:`MosfetModel.capacitances`.  This is the model's one
+    implementation: the simulator's stamp plan calls it for every device
+    in every Newton iteration, and :meth:`MosfetModel.evaluate` wraps it.
+    It uses ``math`` rather than numpy, whose ``exp``/``log1p`` may
+    differ from ``math``'s in the last ulp.
+    """
+    sign, vto, gamma, phi, sqrt_phi, beta, lam = c
+    # PMOS reflection: the internal NMOS frame; derivative signs are
+    # unchanged (sign^2 = 1).
+    u = sign * vgs
+    w = sign * vds
+    b = sign * vbs
+    reversed_mode = w < 0.0
+    if reversed_mode:
+        # I(vgs,vds,vbs) = -F(vgs-vds, -vds, vbs-vds) with F the forward
+        # function (the device is source/drain symmetric).
+        u, w, b = u - w, -w, b - w
+
+    # Body-effect-adjusted threshold; a forward-biased body is clamped
+    # at a small depletion value, where vth (so dvth/dvbs) is constant.
+    if gamma == 0.0:
+        vth = vto
+        dvth_dvbs = 0.0
+    else:
+        arg = phi - b
+        if _PHI_CLAMP > arg:
+            arg = _PHI_CLAMP
+        root = math.sqrt(arg)
+        vth = vto + gamma * (root - sqrt_phi)
+        if gamma > 0.0 and arg > _PHI_CLAMP:
+            dvth_dvbs = -gamma / (2.0 * root)
+        else:
+            dvth_dvbs = 0.0
+
+    # Softplus-smoothed overdrive and its slope d(vov_eff)/d(vov): every
+    # region formula uses vov_eff, so Ids is smooth in vgs across the
+    # cutoff boundary.
+    vov = u - vth
+    x = vov / _SMOOTH_V0
+    if x > _EXP_CLAMP:
+        vov_eff = vov
+        slope = 1.0
+    elif x < -_EXP_CLAMP:
+        vov_eff = _TAIL_VOV_EFF
+        slope = _TAIL
+    else:
+        exp_x = math.exp(x)
+        vov_eff = _SMOOTH_V0 * math.log1p(exp_x)
+        slope = exp_x / (1.0 + exp_x)
+
+    clm = 1.0 + lam * w
+    if w >= vov_eff:
+        region = Region.CUTOFF if vov <= 0.0 else Region.SATURATION
+        square = 0.5 * beta * vov_eff * vov_eff
+        f = square * clm
+        fu = beta * vov_eff * clm * slope
+        fw = square * lam
+    else:
+        region = Region.CUTOFF if vov <= 0.0 else Region.TRIODE
+        f = beta * (vov_eff - 0.5 * w) * w * clm
+        fu = beta * w * clm * slope
+        fw = beta * (vov_eff - w) * clm + beta * (vov_eff - 0.5 * w) * w * lam
+    fb = -fu * dvth_dvbs
+
+    if reversed_mode:
+        return (
+            sign * -f, -fu, fu + fw + fb, -fb, region, sign * vth, vov_eff
+        )
+    return sign * f, fu, fw, fb, region, sign * vth, vov_eff
+
+
 class MosfetModel:
     """A sized MOSFET bound to its process parameters.
 
@@ -148,168 +236,98 @@ class MosfetModel:
         self.beta = params.beta(width, length)
         self.lam = params.lambda_at(length)
         self._sign = 1.0 if params.polarity == "nmos" else -1.0
-        self._cox_area = cox * width * length
+        #: The :func:`level1_dc` constants of this device.
+        self.constants: DeviceConstants = (
+            self._sign,
+            abs(params.vto),
+            params.gamma,
+            params.phi,
+            math.sqrt(params.phi),
+            self.beta,
+            self.lam,
+        )
+        c_ox = cox * width * length
+        c_ov_s = params.cgso * width
+        c_ov_d = params.cgdo * width
+        c_ov_b = params.cgbo * length
+        # Meyer gate caps (cgs, cgd, cgb) by region, internal frame;
+        # triode splits the channel evenly (small-vds limit).
+        self._gate_caps = {
+            Region.CUTOFF: (c_ov_s, c_ov_d, c_ox + c_ov_b),
+            Region.SATURATION: ((2.0 / 3.0) * c_ox + c_ov_s, c_ov_d, c_ov_b),
+            Region.TRIODE: (0.5 * c_ox + c_ov_s, 0.5 * c_ox + c_ov_d, c_ov_b),
+        }
+        self._junction_zero_bias = params.cj * estimate_junction_area(
+            width, drain_width
+        ) + params.cjsw * estimate_junction_perimeter(width, drain_width)
 
     # ------------------------------------------------------------------
-    # Core NMOS-frame current (vds >= 0 only)
+    # Evaluation in the external frame
     # ------------------------------------------------------------------
     def threshold(self, vbs: float) -> float:
         """Body-effect-adjusted threshold magnitude (internal NMOS frame).
 
         ``vbs`` must already be in the internal frame (reflected for PMOS).
         """
-        p = self.params
-        vto = abs(p.vto)
-        if p.gamma == 0.0:
-            return vto
-        # phi - vbs must stay positive; a forward-biased body (vbs > 0) is
-        # clamped at a small depletion value rather than producing NaN.
-        arg = max(p.phi - vbs, 0.01)
-        return vto + p.gamma * (math.sqrt(arg) - math.sqrt(p.phi))
+        sign = self.constants[0]
+        return sign * level1_dc(self.constants, 0.0, 0.0, sign * vbs)[5]
 
-    def _forward(
-        self, vgs: float, vds: float, vbs: float
-    ) -> Tuple[Region, float, float, float, float, float, float]:
-        """NMOS-frame current and partials for ``vds >= 0``.
-
-        Returns (region, ids, d/dvgs, d/dvds, d/dvbs, vth, vdsat).
-        """
-        p = self.params
-        vth = self.threshold(vbs)
-        vov = vgs - vth
-        beta = self.beta
-        lam = self.lam
-
-        # All region formulas use the smoothed overdrive, so Ids is smooth
-        # in vgs across the cutoff boundary; d_vov below is the partial
-        # w.r.t. the raw vov (the softplus slope is folded in).
-        vov_eff, slope = _smooth_overdrive(vov)
-        clm = 1.0 + lam * vds
-
-        if vov <= 0.0:
-            region = Region.CUTOFF
-        elif vds >= vov_eff:
-            region = Region.SATURATION
-        else:
-            region = Region.TRIODE
-
-        if vds >= vov_eff:
-            ids = 0.5 * beta * vov_eff * vov_eff * clm
-            d_vov = beta * vov_eff * clm * slope
-            d_vds = 0.5 * beta * vov_eff * vov_eff * lam
-        else:
-            ids = beta * (vov_eff - 0.5 * vds) * vds * clm
-            d_vov = beta * vds * clm * slope
-            d_vds = (
-                beta * (vov_eff - vds) * clm
-                + beta * (vov_eff - 0.5 * vds) * vds * lam
-            )
-        vdsat = vov_eff
-
-        # vth depends on vbs: dI/dvbs = d_vov * (-dvth/dvbs).  Inside the
-        # forward-bias clamp of threshold() vth is constant, so the
-        # derivative there is exactly zero.
-        if p.gamma > 0.0 and (p.phi - vbs) > 0.01:
-            dvth_dvbs = -p.gamma / (2.0 * math.sqrt(p.phi - vbs))
-        else:
-            dvth_dvbs = 0.0
-        d_vgs = d_vov
-        d_vbs = -d_vov * dvth_dvbs
-        return region, ids, d_vgs, d_vds, d_vbs, vth, vdsat
-
-    # ------------------------------------------------------------------
-    # Public evaluation in the external frame
-    # ------------------------------------------------------------------
     def evaluate(self, vgs: float, vds: float, vbs: float) -> MosfetOperatingPoint:
         """Evaluate current, signed conductances and capacitances at a bias
         point given in the external (SPICE) frame."""
-        s = self._sign
-        xvgs, xvds, xvbs = s * vgs, s * vds, s * vbs
-
-        reversed_mode = xvds < 0.0
-        if not reversed_mode:
-            region, i_n, du, dw, dbv, vth, vdsat = self._forward(xvgs, xvds, xvbs)
-            ids_internal = i_n
-            g_vgs, g_vds, g_vbs = du, dw, dbv
-        else:
-            # I(vgs,vds,vbs) = -F(vgs-vds, -vds, vbs-vds) with F the forward
-            # function; chain rule gives the exact partials.
-            u, w, b = xvgs - xvds, -xvds, xvbs - xvds
-            region, f, fu, fw, fb, vth, vdsat = self._forward(u, w, b)
-            ids_internal = -f
-            g_vgs = -fu
-            g_vds = fu + fw + fb
-            g_vbs = -fb
-
-        # PMOS reflection leaves derivative signs unchanged (s^2 = 1).
-        ids = s * ids_internal
-
-        cgs, cgd, cgb = self._gate_capacitances(
-            region, xvgs if not reversed_mode else xvgs - xvds, xvds
+        ids, gm, gds, gmbs, region, vth, vdsat = level1_dc(
+            self.constants, vgs, vds, vbs
         )
-        cbd, cbs = self._junction_capacitances(xvds, xvbs)
-        if reversed_mode:
-            cgs, cgd = cgd, cgs
-            cbd, cbs = cbs, cbd
-
+        cgs, cgd, cgb, cbd, cbs = self._capacitances(region, vds, vbs)
         return MosfetOperatingPoint(
             region=region,
             ids=ids,
             vgs=vgs,
             vds=vds,
             vbs=vbs,
-            vth=s * vth,
+            vth=vth,
             vdsat=vdsat,
-            gm=g_vgs,
-            gds=g_vds,
-            gmbs=g_vbs,
+            gm=gm,
+            gds=gds,
+            gmbs=gmbs,
             cgs=cgs,
             cgd=cgd,
             cgb=cgb,
             cbd=cbd,
             cbs=cbs,
-            reversed_mode=reversed_mode,
+            reversed_mode=self._sign * vds < 0.0,
         )
+
+    def capacitances(
+        self, vgs: float, vds: float, vbs: float
+    ) -> Tuple[float, float, float, float, float]:
+        """``(cgs, cgd, cgb, cbd, cbs)`` at an external-frame bias point,
+        equal to :meth:`evaluate`'s, without building the op record."""
+        region = level1_dc(self.constants, vgs, vds, vbs)[4]
+        return self._capacitances(region, vds, vbs)
 
     # ------------------------------------------------------------------
     # Capacitances
     # ------------------------------------------------------------------
-    def _gate_capacitances(self, region: Region, vgs: float, vds: float):
-        """Meyer intrinsic caps plus overlaps, by region (internal frame)."""
-        p = self.params
-        c_ox = self._cox_area
-        c_ov_s = p.cgso * self.width
-        c_ov_d = p.cgdo * self.width
-        c_ov_b = p.cgbo * self.length
-        if region is Region.CUTOFF:
-            cgs = c_ov_s
-            cgd = c_ov_d
-            cgb = c_ox + c_ov_b
-        elif region is Region.SATURATION:
-            cgs = (2.0 / 3.0) * c_ox + c_ov_s
-            cgd = c_ov_d
-            cgb = c_ov_b
-        else:  # triode: split evenly (Meyer, small-vds limit)
-            cgs = 0.5 * c_ox + c_ov_s
-            cgd = 0.5 * c_ox + c_ov_d
-            cgb = c_ov_b
-        return cgs, cgd, cgb
+    def _capacitances(
+        self, region: Region, vds: float, vbs: float
+    ) -> Tuple[float, float, float, float, float]:
+        """Meyer intrinsic caps plus overlaps by region, and the
+        reverse-biased drain/source junction caps; swapped for a device
+        in reversed mode."""
+        xvds = self._sign * vds
+        xvbs = self._sign * vbs
+        cgs, cgd, cgb = self._gate_caps[region]
+        cbd = self._junction_zero_bias * self._depletion(xvbs - xvds)
+        cbs = self._junction_zero_bias * self._depletion(xvbs)
+        if xvds < 0.0:
+            return cgd, cgs, cgb, cbs, cbd
+        return cgs, cgd, cgb, cbd, cbs
 
-    def _junction_capacitances(self, vds: float, vbs: float):
-        """Reverse-biased drain/source junction caps (internal frame)."""
-        p = self.params
-        area = estimate_junction_area(self.width, self.drain_width)
-        perim = estimate_junction_perimeter(self.width, self.drain_width)
-        vbd = vbs - vds
-
-        def depletion(vj: float) -> float:
-            # Standard (1 - V/pb)^-1/2 with forward-bias clamping.
-            ratio = max(1.0 - vj / p.pb, 0.5)
-            return 1.0 / math.sqrt(ratio)
-
-        cbd = (p.cj * area + p.cjsw * perim) * depletion(vbd)
-        cbs = (p.cj * area + p.cjsw * perim) * depletion(vbs)
-        return cbd, cbs
+    def _depletion(self, vj: float) -> float:
+        """Standard (1 - V/pb)^-1/2 with forward-bias clamping."""
+        ratio = max(1.0 - vj / self.params.pb, 0.5)
+        return 1.0 / math.sqrt(ratio)
 
     # ------------------------------------------------------------------
     # Design-equation helpers (used by sizing plans)

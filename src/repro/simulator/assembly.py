@@ -1,16 +1,24 @@
-"""Vectorized array-oriented MNA assembly: the simulator's hot path.
+"""Array-oriented MNA assembly: the simulator's hot path.
 
 :class:`StampPlan` compiles a circuit's stamp pattern **once** per
 :class:`~repro.simulator.mna.MnaSystem`:
 
 * devices grouped by type into index/value arrays (resistor terminal
-  indices, MOSFET terminal indices, source rows...);
+  indices, MOSFET terminal indices and model constants, source rows...);
 * one global COO entry list per assembly kind (DC Jacobian, DC
   residual, AC matrix) recorded in **exactly** the order of a
-  one-device-at-a-time element walk, so a single ``np.add.at`` scatter
-  reproduces that walk's floating-point accumulation bit for bit
-  (``np.add.at`` applies duplicate indices sequentially in entry
-  order).
+  one-device-at-a-time element walk, so one ordered scatter
+  (``np.bincount`` for DC, ``np.add.at`` for AC; both add duplicate
+  indices sequentially in entry order) reproduces that walk's
+  floating-point accumulation bit for bit.
+
+Each DC assembly runs the level-1 kernel
+(:func:`~repro.devices.mosfet.level1_dc`) on plain Python floats, one
+device after another: at the 8--16 devices of an op amp that beats
+numpy struct-of-arrays evaluation, and ``math.exp``/``math.log1p`` keep
+the bits of the scalar model.  No operating-point records are built in
+the Newton loop; :meth:`StampPlan.device_ops` builds them once, at a
+converged point.
 
 Every Newton iteration, retry-ladder rung and AC frequency of a system
 reuses the plan; the assembled matrices are dense and are solved with
@@ -20,7 +28,7 @@ in ``tests/mna_reference.py`` as the differential-testing oracle.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -31,6 +39,7 @@ from ..circuit.elements import (
     Resistor,
     VoltageSource,
 )
+from ..devices.mosfet import level1_dc
 from ..errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -38,20 +47,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .mna import MnaSystem
 
 __all__ = ["StampPlan"]
-
-
-class _NodeGather:
-    """Vectorized ``volt()``: gather x[index] with ground (-1) -> 0.0."""
-
-    __slots__ = ("index", "mask")
-
-    def __init__(self, indices: Sequence[int]):
-        arr = np.asarray(indices, dtype=np.intp)
-        self.index = np.maximum(arr, 0)
-        self.mask = arr >= 0
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return np.where(self.mask, x[self.index], 0.0)
 
 
 class _EntryRecorder:
@@ -95,9 +90,9 @@ class StampPlan:
 
     Index arrays are built once in ``__init__`` by replaying the exact
     element walk of a scalar stamper (the one-device-at-a-time order
-    the accumulation must reproduce); numeric assemblies then only
-    touch NumPy.  The AC layout is built lazily on first AC
-    assembly (DC solves never need it).
+    the accumulation must reproduce); numeric assemblies then fill
+    flat entry-value arrays and scatter them.  The AC layout is built
+    lazily on first AC assembly (DC solves never need it).
     """
 
     def __init__(self, system: "MnaSystem"):
@@ -196,9 +191,11 @@ class StampPlan:
             jac.add(_JG_VS, row, p)
             jac.add(_JG_VS, row, n)
 
+        # Node index arrays index the unknowns with a 0.0 appended, so
+        # ground (-1) reads 0 V without a mask.
         # --- resistor group -------------------------------------------
-        self.res_va = _NodeGather(res_a)
-        self.res_vb = _NodeGather(res_b)
+        self.res_a = np.asarray(res_a, dtype=np.intp)
+        self.res_b = np.asarray(res_b, dtype=np.intp)
         self.res_g = np.asarray(res_g, dtype=float)
         g = self.res_g
         self.res_j_static = np.column_stack((g, -g, -g, g)).ravel()
@@ -206,13 +203,12 @@ class StampPlan:
         self.isrc_dc = np.asarray(isrc_dc, dtype=float)
         # --- MOSFETs ---------------------------------------------------
         self.mos_bind = mos_bind
-        self.mos_vd = _NodeGather(mos_d)
-        self.mos_vg = _NodeGather(mos_g)
-        self.mos_vs = _NodeGather(mos_s)
-        self.mos_vb = _NodeGather(mos_b)
+        self.mos_models = [model for _key, _name, model in mos_bind]
+        self.mos_constants = [model.constants for model in self.mos_models]
+        self.mos_terms = list(zip(mos_g, mos_d, mos_b, mos_s))
         # --- voltage sources ------------------------------------------
-        self.vs_vp = _NodeGather(vs_p)
-        self.vs_vn = _NodeGather(vs_n)
+        self.vs_p = np.asarray(vs_p, dtype=np.intp)
+        self.vs_n = np.asarray(vs_n, dtype=np.intp)
         self.vs_rows = np.asarray(vs_row, dtype=np.intp)
         self.vs_dc = np.asarray(vs_dc, dtype=float)
         self.vs_j_static = np.tile(
@@ -226,128 +222,143 @@ class StampPlan:
         self.jp_res = np.flatnonzero(j_groups == _JG_RES)
         self.jp_mos = np.flatnonzero(j_groups == _JG_MOS)
         self.jp_vs = np.flatnonzero(j_groups == _JG_VS)
-        j_mask = (j_rows >= 0) & (j_cols >= 0)
-        self.j_mask = j_mask
-        self.j_rows_valid = j_rows[j_mask]
-        self.j_cols_valid = j_cols[j_mask]
+        # Flat matrix slot of each entry; entries on a ground row or
+        # column go to one spare slot past the matrix.
+        cells = self.size * self.size
+        self.j_slots = np.where(
+            (j_rows >= 0) & (j_cols >= 0), j_rows * self.size + j_cols, cells
+        )
 
         f_rows, _f_cols, f_groups = res.finish()
         self.f_total = f_rows.size
         self.fp_gmin = np.flatnonzero(f_groups == _FG_GMIN)
-        self.fp_res = np.flatnonzero(f_groups == _FG_RES)
-        self.fp_isrc = np.flatnonzero(f_groups == _FG_ISRC)
+        # Each two-terminal group stamps +value then -value: positions
+        # of the first and of the second stamp.
+        fp_res = np.flatnonzero(f_groups == _FG_RES)
+        self.fp_res = (fp_res[0::2], fp_res[1::2])
+        fp_isrc = np.flatnonzero(f_groups == _FG_ISRC)
+        self.fp_isrc = (fp_isrc[0::2], fp_isrc[1::2])
         self.fp_mos = np.flatnonzero(f_groups == _FG_MOS)
-        self.fp_vs = np.flatnonzero(f_groups == _FG_VS)
-        f_mask = f_rows >= 0
-        self.f_mask = f_mask
-        self.f_rows_valid = f_rows[f_mask]
+        fp_vs = np.flatnonzero(f_groups == _FG_VS)
+        self.fp_vs = (fp_vs[0::2], fp_vs[1::2])
+        self.f_slots = np.where(f_rows >= 0, f_rows, self.size)
 
         self._ac_ready = False
 
     # ------------------------------------------------------------------
     # DC assembly
     # ------------------------------------------------------------------
-    def _evaluate_mosfets(
-        self, x: np.ndarray
-    ) -> Tuple[
-        Dict[str, "MosfetOperatingPoint"],
-        np.ndarray,
-        np.ndarray,
-        np.ndarray,
-        np.ndarray,
-    ]:
-        """Per-device model evaluation (kept scalar for bit-identity
-        with the reference path), results collected into arrays."""
-        ops: Dict[str, "MosfetOperatingPoint"] = {}
-        count = len(self.mos_bind)
-        ids = np.empty(count)
-        gm = np.empty(count)
-        gds = np.empty(count)
-        gmbs = np.empty(count)
-        if not count:
-            return ops, ids, gm, gds, gmbs
-        vd = self.mos_vd(x)
-        vg = self.mos_vg(x)
-        vs = self.mos_vs(x)
-        vb = self.mos_vb(x)
-        vgs = vg - vs
-        vds = vd - vs
-        vbs = vb - vs
-        for i, (key, _name, model) in enumerate(self.mos_bind):
-            op = model.evaluate(float(vgs[i]), float(vds[i]), float(vbs[i]))
-            ops[key] = op
-            ids[i] = op.ids
-            gm[i] = op.gm
-            gds[i] = op.gds
-            gmbs[i] = op.gmbs
-        return ops, ids, gm, gds, gmbs
+    def _device_biases(self, xs: List[float]) -> List[Tuple[float, float, float]]:
+        """``(vgs, vds, vbs)`` per MOSFET from the unknowns as a list
+        with ground's 0.0 appended."""
+        return [
+            (xs[g] - xs[s], xs[d] - xs[s], xs[b] - xs[s])
+            for g, d, b, s in self.mos_terms
+        ]
 
     def _dc_entry_values(
         self,
-        x: np.ndarray,
+        xe: np.ndarray,
         gmin: float,
         source_scale: float,
         with_jacobian: bool = True,
-    ) -> Tuple[
-        np.ndarray, Optional[np.ndarray], Dict[str, "MosfetOperatingPoint"]
-    ]:
-        """Fill the flat residual/Jacobian entry-value arrays."""
-        ops, ids, gm, gds, gmbs = self._evaluate_mosfets(x)
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Fill the flat residual/Jacobian entry-value arrays at the
+        unknowns ``xe`` (with ground's 0.0 appended).
+
+        The device model runs on plain floats (:func:`level1_dc`, no
+        capacitances); at 8--16 devices a Python loop over it beats
+        gathering the devices into numpy arrays.
+        """
+        kernel = level1_dc
+        f_mos: List[float] = []
+        j_mos: List[float] = []
+        for c, (vgs, vds, vbs) in zip(
+            self.mos_constants, self._device_biases(xe.tolist())
+        ):
+            ids, gm, gds, gmbs, _, _, _ = kernel(c, vgs, vds, vbs)
+            f_mos += (ids, -ids)
+            if with_jacobian:
+                g_s = -(gm + gds + gmbs)
+                j_mos += (gm, gds, gmbs, g_s, -gm, -gds, -gmbs, -g_s)
         f_vals = np.empty(self.f_total)
-        f_vals[self.fp_gmin] = gmin * x[: self.n_nodes]
-        gv = self.res_g * (self.res_va(x) - self.res_vb(x))
-        f_vals[self.fp_res] = np.column_stack((gv, -gv)).ravel()
+        f_vals[self.fp_gmin] = gmin * xe[: self.n_nodes]
+        gv = self.res_g * (xe[self.res_a] - xe[self.res_b])
+        f_vals[self.fp_res[0]] = gv
+        f_vals[self.fp_res[1]] = -gv
         inj = self.isrc_dc * source_scale
-        f_vals[self.fp_isrc] = np.column_stack((inj, -inj)).ravel()
-        f_vals[self.fp_mos] = np.column_stack((ids, -ids)).ravel()
-        i_branch = x[self.vs_rows]
-        f_vals[self.fp_vs] = np.column_stack((i_branch, -i_branch)).ravel()
+        f_vals[self.fp_isrc[0]] = inj
+        f_vals[self.fp_isrc[1]] = -inj
+        f_vals[self.fp_mos] = f_mos
+        i_branch = xe[self.vs_rows]
+        f_vals[self.fp_vs[0]] = i_branch
+        f_vals[self.fp_vs[1]] = -i_branch
         if not with_jacobian:
-            return f_vals, None, ops
+            return f_vals, None
         j_vals = np.empty(self.j_total)
         j_vals[self.jp_gmin] = gmin
         j_vals[self.jp_res] = self.res_j_static
-        g_s = -(gm + gds + gmbs)
-        j_vals[self.jp_mos] = np.column_stack(
-            (gm, gds, gmbs, g_s, -gm, -gds, -gmbs, -g_s)
-        ).ravel()
+        j_vals[self.jp_mos] = j_mos
         j_vals[self.jp_vs] = self.vs_j_static
-        return f_vals, j_vals, ops
+        return f_vals, j_vals
 
     def _residual_from(
-        self, f_vals: np.ndarray, x: np.ndarray, source_scale: float
+        self, f_vals: np.ndarray, xe: np.ndarray, source_scale: float
     ) -> np.ndarray:
-        residual = np.zeros(self.size)
-        np.add.at(residual, self.f_rows_valid, f_vals[self.f_mask])
+        # bincount sums each slot's entries in entry order from 0.0,
+        # exactly as the scalar walk accumulates them.
+        residual = np.bincount(
+            self.f_slots, weights=f_vals, minlength=self.size + 1
+        )[: self.size]
         if self.vs_rows.size:
             # Branch equations are assigned, not accumulated.
             residual[self.vs_rows] = (
-                self.vs_vp(x) - self.vs_vn(x) - self.vs_dc * source_scale
+                xe[self.vs_p] - xe[self.vs_n] - self.vs_dc * source_scale
             )
         return residual
 
     def assemble_dc(
         self, x: np.ndarray, gmin: float, source_scale: float
-    ) -> Tuple[np.ndarray, np.ndarray, Dict[str, "MosfetOperatingPoint"]]:
-        """Residual, dense Jacobian and device ops at ``x``."""
-        f_vals, j_vals, ops = self._dc_entry_values(x, gmin, source_scale)
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Residual and dense Jacobian at ``x``."""
+        xe = np.append(x, 0.0)
+        f_vals, j_vals = self._dc_entry_values(xe, gmin, source_scale)
         assert j_vals is not None
-        jacobian = np.zeros((self.size, self.size))
-        np.add.at(
-            jacobian,
-            (self.j_rows_valid, self.j_cols_valid),
-            j_vals[self.j_mask],
+        cells = self.size * self.size
+        jacobian = np.bincount(self.j_slots, weights=j_vals, minlength=cells + 1)
+        return (
+            self._residual_from(f_vals, xe, source_scale),
+            jacobian[:cells].reshape(self.size, self.size),
         )
-        return self._residual_from(f_vals, x, source_scale), jacobian, ops
 
     def assemble_dc_residual(
         self, x: np.ndarray, gmin: float, source_scale: float
-    ) -> Tuple[np.ndarray, Dict[str, "MosfetOperatingPoint"]]:
-        """Residual + device ops only (the Newton convergence check)."""
-        f_vals, _, ops = self._dc_entry_values(
-            x, gmin, source_scale, with_jacobian=False
+    ) -> np.ndarray:
+        """Residual only (the Newton convergence check)."""
+        xe = np.append(x, 0.0)
+        f_vals, _ = self._dc_entry_values(
+            xe, gmin, source_scale, with_jacobian=False
         )
-        return self._residual_from(f_vals, x, source_scale), ops
+        return self._residual_from(f_vals, xe, source_scale)
+
+    def device_ops(self, x: np.ndarray) -> Dict[str, "MosfetOperatingPoint"]:
+        """One :class:`MosfetOperatingPoint` per device at ``x`` (a
+        converged solve's record, capacitances included)."""
+        return {
+            key: model.evaluate(vgs, vds, vbs)
+            for (key, _name, model), (vgs, vds, vbs) in zip(
+                self.mos_bind, self._device_biases(x.tolist() + [0.0])
+            )
+        }
+
+    def mosfet_capacitances(self, x: np.ndarray) -> List[float]:
+        """``cgs, cgd, cgb, cbd, cbs`` of every device at ``x``, device
+        after device (the transient's quasi-static refresh)."""
+        caps: List[float] = []
+        biases = self._device_biases(x.tolist() + [0.0])
+        for model, (vgs, vds, vbs) in zip(self.mos_models, biases):
+            caps += model.capacitances(vgs, vds, vbs)
+        return caps
 
     # ------------------------------------------------------------------
     # AC assembly

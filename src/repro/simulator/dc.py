@@ -26,7 +26,9 @@ caller's :class:`~repro.kb.trace.DesignTrace` as ``ladder`` events.
 
 :func:`newton_solve` is the simulator's one DC Newton loop: each
 iteration assembles through :meth:`MnaSystem.assemble_dc` (so the solver
-is model-agnostic) and makes one dense ``np.linalg.solve``.  The solver
+is model-agnostic) and makes one dense ``np.linalg.solve``.  The loop
+carries only the unknown vector; a converged solve's device records are
+built once, by :meth:`MnaSystem.package_result`.  The solver
 cooperates with the resilience layer: an ambient
 :class:`~repro.resilience.Budget` is charged per Newton iteration, and
 the ``dc.newton`` / ``dc.newton.nan`` fault points make every
@@ -101,7 +103,8 @@ def newton_solve(
         block: context for budget errors.
 
     Returns:
-        (x, device_ops, iterations)
+        (x, iterations); the caller builds the device records once from
+        the converged ``x``.
 
     Raises:
         ConvergenceError: if the iteration limit is reached, the
@@ -120,9 +123,7 @@ def newton_solve(
         if budget is not None:
             budget.charge_newton(1, block=block, step="newton")
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            residual, jacobian, device_ops = system.assemble_dc(
-                x, gmin, source_scale
-            )
+            residual, jacobian = system.assemble_dc(x, gmin, source_scale)
             try:
                 delta = np.linalg.solve(jacobian, -residual)
             except np.linalg.LinAlgError as exc:
@@ -146,14 +147,12 @@ def newton_solve(
             )
             # Residual check on the freshly updated point (no Jacobian
             # work: only the residual entries are evaluated).
-            residual_new, device_ops = system.assemble_dc_residual(
-                x, gmin, source_scale
-            )
+            residual_new = system.assemble_dc_residual(x, gmin, source_scale)
             kcl_converged = np.all(
                 np.abs(residual_new[:n_nodes]) <= ITOL * 10 + 1e-9
             )
             if v_converged and kcl_converged:
-                return x, device_ops, iteration
+                return x, iteration
 
             if diverge_after is not None:
                 norm = float(np.max(np.abs(residual_new[:n_nodes]))) if n_nodes else 0.0
@@ -185,8 +184,7 @@ def _run_rung(
 ):
     """Run one escalation strategy from ``x0``.
 
-    Returns ``(x, device_ops, iterations)``; raises ConvergenceError on
-    failure.  The homotopy rungs chain their inner Newton failure.
+    Returns ``(x, iterations)``; raises ConvergenceError on failure.  The homotopy rungs chain their inner Newton failure.
     """
     if rung == "plain":
         return newton_solve(
@@ -213,7 +211,7 @@ def _run_rung(
     total = 0
     try:
         for gmin, scale in steps:
-            x, ops, used = newton_solve(
+            x, used = newton_solve(
                 system, x, gmin, scale, max_iterations, budget=budget, block=block
             )
             total += used
@@ -225,7 +223,7 @@ def _run_rung(
         raise ConvergenceError(
             f"{where}: {exc}", total + exc.iterations, rung=rung
         ) from exc
-    return x, ops, total
+    return x, total
 
 
 def _climb(
@@ -238,7 +236,7 @@ def _climb(
 ):
     """Try ``rungs`` in order until one converges.
 
-    Returns ``(x, device_ops, attempts)`` where ``attempts`` lists
+    Returns ``(x, attempts)`` where ``attempts`` lists
     ``(rung, iterations, error)`` per rung tried (``error`` is ``""``
     on the rung that converged).  A rung's error gets the previous
     rung's as ``__cause__`` unless it already chains its own; when
@@ -255,7 +253,7 @@ def _climb(
             with obs_span(
                 f"rung:{rung}", category="ladder", rung=rung, attempt=1
             ):
-                x, device_ops, iterations = _run_rung(
+                x, iterations = _run_rung(
                     rung, system, x0, max_iterations, budget, block
                 )
         except ConvergenceError as exc:
@@ -283,7 +281,7 @@ def _climb(
         if iterations:
             metric_count("ladder.iterations", n=iterations, rung=rung)
         if error is None:
-            return x, device_ops, attempts
+            return x, attempts
     total = sum(iterations for _, iterations, _ in attempts)
     raise ConvergenceError(
         f"{block}: DC operating point failed after {' -> '.join(rungs)} "
@@ -463,7 +461,7 @@ def operating_point(
         block=block, nodes=system.n_nodes,
     ) as solve_span:
         try:
-            x, device_ops, attempts = _climb(
+            x, attempts = _climb(
                 rungs, system, x0, max_iterations, budget, block
             )
         except ConvergenceError as exc:
@@ -502,7 +500,7 @@ def operating_point(
                 rung,
                 f"attempt 1: {outcome} after {iterations} iterations",
             )
-    result = system.package_result(x, device_ops, total)
+    result = system.package_result(x, total)
     if cache is not None:
         cache.put("op", op_key, _op_to_payload(result))
     return result

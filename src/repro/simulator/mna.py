@@ -154,9 +154,8 @@ class MnaSystem:
         x: np.ndarray,
         gmin: float = 1e-12,
         source_scale: float = 1.0,
-    ) -> Tuple[np.ndarray, np.ndarray, Dict[str, MosfetOperatingPoint]]:
-        """Residual F(x), dense Jacobian J(x) and device ops for the DC
-        system.
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Residual F(x) and dense Jacobian J(x) of the DC system.
 
         The residual convention is KCL: F[node] = sum of currents *leaving*
         the node through elements minus injected source currents; voltage
@@ -175,10 +174,20 @@ class MnaSystem:
         x: np.ndarray,
         gmin: float = 1e-12,
         source_scale: float = 1.0,
-    ) -> Tuple[np.ndarray, Dict[str, MosfetOperatingPoint]]:
-        """Residual and device ops only (no Jacobian work) -- the
-        post-update convergence check of the Newton loop."""
+    ) -> np.ndarray:
+        """Residual only (no Jacobian work) -- the post-update
+        convergence check of the Newton loop."""
         return self.stamp_plan.assemble_dc_residual(x, gmin, source_scale)
+
+    def device_ops(self, x: np.ndarray) -> Dict[str, MosfetOperatingPoint]:
+        """MOSFET name -> :class:`MosfetOperatingPoint` at ``x``; built
+        once per converged solve, never inside the Newton loop."""
+        return self.stamp_plan.device_ops(x)
+
+    def mosfet_capacitances(self, x: np.ndarray) -> List[float]:
+        """``cgs, cgd, cgb, cbd, cbs`` of every MOSFET at ``x``, in
+        circuit order, without building operating-point records."""
+        return self.stamp_plan.mosfet_capacitances(x)
 
     def assemble_ac_sweep(
         self,
@@ -221,9 +230,8 @@ class MnaSystem:
     # ------------------------------------------------------------------
     # Result packaging
     # ------------------------------------------------------------------
-    def package_result(
-        self, x: np.ndarray, device_ops: Dict[str, MosfetOperatingPoint], iterations: int
-    ) -> OperatingPointResult:
+    def package_result(self, x: np.ndarray, iterations: int) -> OperatingPointResult:
+        """The :class:`OperatingPointResult` of a solve converged at ``x``."""
         voltages = {node: float(x[i]) for node, i in self.node_index.items()}
         currents = {
             source.name.lower(): float(x[self.branch_index(pos)])
@@ -232,7 +240,7 @@ class MnaSystem:
         result = OperatingPointResult(
             voltages=voltages,
             source_currents=currents,
-            device_ops=dict(device_ops),
+            device_ops=self.device_ops(x),
             iterations=iterations,
         )
         result._sources_by_name = {

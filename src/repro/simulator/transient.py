@@ -27,7 +27,6 @@ from ..errors import ConvergenceError, SimulationError
 from ..obs.spans import count as metric_count
 from ..obs.spans import span as obs_span
 from ..process.parameters import ProcessParameters
-from .assembly import _NodeGather
 from .dc import MAX_STEP, RELTOL, VTOL, operating_point
 from .mna import MnaSystem
 
@@ -80,14 +79,13 @@ class _CompanionBank:
     ):
         self.node_a = np.asarray(node_a, dtype=np.intp)
         self.node_b = np.asarray(node_b, dtype=np.intp)
-        self.va = _NodeGather(node_a)
-        self.vb = _NodeGather(node_b)
         self.cap = np.asarray(caps, dtype=float)
         self.v_prev = np.zeros(self.cap.size)
         self.i_prev = np.zeros(self.cap.size)
 
     def branch_voltages(self, x: np.ndarray) -> np.ndarray:
-        return self.va(x) - self.vb(x)
+        xe = np.append(x, 0.0)  # ground (-1) reads 0 V
+        return xe[self.node_a] - xe[self.node_b]
 
     def stamp(
         self,
@@ -123,24 +121,17 @@ class _CompanionBank:
         self.v_prev = v_new
 
 
-def _device_cap_branches(system: MnaSystem, op) -> List[Tuple[str, int, int, str]]:
-    """Terminal pairs carrying MOSFET capacitances: (device, a, b, kind)."""
+def _device_cap_branches(system: MnaSystem) -> List[Tuple[int, int]]:
+    """Terminal pairs carrying MOSFET capacitances, in the order of
+    :meth:`MnaSystem.mosfet_capacitances`: per device, cgs (g-s), cgd
+    (g-d), cgb (g-b), cbd (b-d) and cbs (b-s)."""
     branches = []
     for element in system.circuit.mosfets:
         d = system.index_of(element.drain)
         g = system.index_of(element.gate)
         s = system.index_of(element.source)
         b = system.index_of(element.bulk)
-        name = element.name.lower()
-        branches.extend(
-            [
-                (name, g, s, "cgs"),
-                (name, g, d, "cgd"),
-                (name, g, b, "cgb"),
-                (name, b, d, "cbd"),
-                (name, b, s, "cbs"),
-            ]
-        )
+        branches.extend([(g, s), (g, d), (g, b), (b, d), (b, s)])
     return branches
 
 
@@ -206,7 +197,7 @@ def transient_analysis(
 
     with obs_span(f"transient:{circuit.name}", category="sim") as tran_span:
         times, history = _integrate(
-            system, initial, x, op0, t_stop, t_step, stimuli, max_iterations
+            system, initial, x, t_stop, t_step, stimuli, max_iterations
         )
         tran_span.set("timesteps", len(times) - 1)
         metric_count("transient.analyses")
@@ -223,7 +214,6 @@ def _integrate(
     system: MnaSystem,
     initial: Circuit,
     x: np.ndarray,
-    op0,
     t_stop: float,
     t_step: float,
     stimuli: Dict[str, Callable[[float], float]],
@@ -240,11 +230,10 @@ def _integrate(
         node_b.append(system.index_of(cap.node_b))
         caps.append(cap.capacitance)
     explicit_count = len(caps)
-    device_branches = _device_cap_branches(system, op0.device_ops)
-    for name, a, b, kind in device_branches:
+    for a, b in _device_cap_branches(system):
         node_a.append(a)
         node_b.append(b)
-        caps.append(getattr(op0.device_ops[name], kind))
+    caps.extend(system.mosfet_capacitances(x))
     bank = _CompanionBank(node_a, node_b, caps)
     bank.v_prev = bank.branch_voltages(x)
 
@@ -255,13 +244,12 @@ def _integrate(
     while t < t_stop - 1e-15:
         h = min(t_step, t_stop - t)
         t_next = t + h
-        x_next, device_ops = _solve_timestep(
+        x_next, device_caps = _solve_timestep(
             system, x, t_next, h, stimuli, bank, max_iterations
         )
         bank.accept(x_next, h)
         # Refresh device capacitance values quasi-statically.
-        for i, (name, _a, _b, kind) in enumerate(device_branches):
-            bank.cap[explicit_count + i] = getattr(device_ops[name], kind)
+        bank.cap[explicit_count:] = device_caps
         x = x_next
         t = t_next
         times.append(t)
@@ -302,7 +290,7 @@ def _solve_timestep(
     source_values, isource_values = _stimulus_values(system, stimuli, t)
 
     for iteration in range(1, max_iterations + 1):
-        residual, jacobian, device_ops = system.assemble_dc(x, 1e-12, 1.0)
+        residual, jacobian = system.assemble_dc(x, 1e-12, 1.0)
 
         # Override voltage-source branch equations with waveform values.
         for pos, source in enumerate(system.vsources):
@@ -337,9 +325,10 @@ def _solve_timestep(
         worst = np.max(np.abs(delta[:n_nodes])) if n_nodes else 0.0
         if worst > MAX_STEP:
             delta = delta * (MAX_STEP / worst)
+        x_assembled = x
         x = x + delta
         if np.all(np.abs(delta[:n_nodes]) <= VTOL * 100 + RELTOL * np.abs(x[:n_nodes])):
-            return x, device_ops
+            return x, system.mosfet_capacitances(x_assembled)
     raise ConvergenceError(
         f"transient NR failed at t={t:g} ({max_iterations} iterations)",
         max_iterations,

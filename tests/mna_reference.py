@@ -9,15 +9,20 @@ it.
 
 * :func:`assemble_dc_reference` / :func:`assemble_ac_reference` compare
   entrywise against the plan (``tests/test_numeric_oracle.py``).
-* :func:`install` replaces the assembly methods of
+* :func:`device_ops_reference` builds a converged solve's device
+  records with the same oracle.
+* :func:`install` replaces the assembly and device-record methods of
   :class:`~repro.simulator.mna.MnaSystem` so whole solves, records and
-  cache payloads can be produced under the reference.  In a test, pass
+  cache payloads can be produced under the reference.
+
+Every device evaluation goes through the frozen scalar model of
+``tests/mosfet_reference.py``, never through the library's kernel.  In a test, pass
   ``monkeypatch.setattr`` (or use the ``reference_mna`` fixture from
   ``tests/conftest.py``); a child interpreter calls ``install()`` to
   patch for its whole life.
 """
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -32,9 +37,12 @@ from repro.devices.mosfet import MosfetOperatingPoint
 from repro.errors import SimulationError
 from repro.simulator.mna import MnaSystem
 
+from .mosfet_reference import evaluate_reference
+
 __all__ = [
     "assemble_dc_reference",
     "assemble_ac_reference",
+    "device_ops_reference",
     "install",
 ]
 
@@ -44,8 +52,8 @@ def assemble_dc_reference(
     x: np.ndarray,
     gmin: float = 1e-12,
     source_scale: float = 1.0,
-) -> Tuple[np.ndarray, np.ndarray, Dict[str, MosfetOperatingPoint]]:
-    """Scalar DC stamper: ``(F, J, device_ops)`` at ``x``.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Scalar DC stamper: ``(F, J)`` at ``x``.
 
     The residual convention is KCL: F[node] = sum of currents *leaving*
     the node through elements minus injected source currents; voltage
@@ -54,7 +62,6 @@ def assemble_dc_reference(
     size = system.size
     residual = np.zeros(size)
     jacobian = np.zeros((size, size))
-    device_ops: Dict[str, MosfetOperatingPoint] = {}
 
     def volt(idx: int) -> float:
         return 0.0 if idx < 0 else float(x[idx])
@@ -95,7 +102,7 @@ def assemble_dc_reference(
             add_f(p, i_dc)
             add_f(n, -i_dc)
         elif isinstance(element, Mosfet):
-            _stamp_mosfet_dc(system, element, device_ops, volt, add_f, add_j)
+            _stamp_mosfet_dc(system, element, volt, add_f, add_j)
         elif isinstance(element, VoltageSource):
             pass  # handled below with branch rows
         else:
@@ -116,20 +123,24 @@ def assemble_dc_reference(
         add_j(row, p, 1.0)
         add_j(row, n, -1.0)
 
-    return residual, jacobian, device_ops
+    return residual, jacobian
 
 
-def _stamp_mosfet_dc(system, element, device_ops, volt, add_f, add_j) -> None:
+def _evaluate_device(system, element, volt) -> MosfetOperatingPoint:
     model = system.models[element.name.lower()]
+    s = volt(system.index_of(element.source))
+    vgs = volt(system.index_of(element.gate)) - s
+    vds = volt(system.index_of(element.drain)) - s
+    vbs = volt(system.index_of(element.bulk)) - s
+    return evaluate_reference(model, vgs, vds, vbs)
+
+
+def _stamp_mosfet_dc(system, element, volt, add_f, add_j) -> None:
     d = system.index_of(element.drain)
     g = system.index_of(element.gate)
     s = system.index_of(element.source)
     b = system.index_of(element.bulk)
-    vgs = volt(g) - volt(s)
-    vds = volt(d) - volt(s)
-    vbs = volt(b) - volt(s)
-    op = model.evaluate(vgs, vds, vbs)
-    device_ops[element.name.lower()] = op
+    op = _evaluate_device(system, element, volt)
 
     # Drain current op.ids enters the drain and exits the source.
     add_f(d, op.ids)
@@ -153,9 +164,31 @@ def assemble_dc_residual_reference(
     x: np.ndarray,
     gmin: float = 1e-12,
     source_scale: float = 1.0,
-) -> Tuple[np.ndarray, Dict[str, MosfetOperatingPoint]]:
-    residual, _, device_ops = assemble_dc_reference(system, x, gmin, source_scale)
-    return residual, device_ops
+) -> np.ndarray:
+    return assemble_dc_reference(system, x, gmin, source_scale)[0]
+
+
+def device_ops_reference(
+    system: MnaSystem, x: np.ndarray
+) -> Dict[str, MosfetOperatingPoint]:
+    """Scalar device records: MOSFET name -> operating point at ``x``."""
+
+    def volt(idx: int) -> float:
+        return 0.0 if idx < 0 else float(x[idx])
+
+    return {
+        element.name.lower(): _evaluate_device(system, element, volt)
+        for element in system.circuit.mosfets
+    }
+
+
+def mosfet_capacitances_reference(system: MnaSystem, x: np.ndarray) -> List[float]:
+    """``cgs, cgd, cgb, cbd, cbs`` per device, from the scalar records."""
+    return [
+        getattr(op, kind)
+        for op in device_ops_reference(system, x).values()
+        for kind in ("cgs", "cgd", "cgb", "cbd", "cbs")
+    ]
 
 
 def assemble_ac_reference(
@@ -274,6 +307,8 @@ def assemble_ac_sweep_reference(
 REFERENCE_METHODS = {
     "assemble_dc": assemble_dc_reference,
     "assemble_dc_residual": assemble_dc_residual_reference,
+    "device_ops": device_ops_reference,
+    "mosfet_capacitances": mosfet_capacitances_reference,
     "assemble_ac_sweep": assemble_ac_sweep_reference,
 }
 

@@ -38,14 +38,13 @@ class _FakeSystem:
         return self._assemble(x, gmin, source_scale)
 
     def assemble_dc_residual(self, x, gmin, source_scale):
-        residual, _, device_ops = self._assemble(x, gmin, source_scale)
-        return residual, device_ops
+        return self._assemble(x, gmin, source_scale)[0]
 
 
 class TestNewtonEdgeCases:
     def test_singular_jacobian_raises_convergence_error(self):
         def assemble(x, gmin, scale):
-            return np.ones(2), np.zeros((2, 2)), {}
+            return np.ones(2), np.zeros((2, 2))
 
         system = _FakeSystem(assemble)
         with pytest.raises(ConvergenceError, match="singular Jacobian"):
@@ -53,7 +52,7 @@ class TestNewtonEdgeCases:
 
     def test_singular_jacobian_chains_linalg_error(self):
         def assemble(x, gmin, scale):
-            return np.ones(2), np.zeros((2, 2)), {}
+            return np.ones(2), np.zeros((2, 2))
 
         system = _FakeSystem(assemble)
         with pytest.raises(ConvergenceError) as excinfo:
@@ -63,7 +62,7 @@ class TestNewtonEdgeCases:
 
     def test_non_finite_update_raises(self):
         def assemble(x, gmin, scale):
-            return np.array([np.inf, 0.0]), np.eye(2), {}
+            return np.array([np.inf, 0.0]), np.eye(2)
 
         system = _FakeSystem(assemble)
         with pytest.raises(ConvergenceError, match="non-finite"):
@@ -71,7 +70,7 @@ class TestNewtonEdgeCases:
 
     def test_nan_residual_raises(self):
         def assemble(x, gmin, scale):
-            return np.array([np.nan, np.nan]), np.eye(2), {}
+            return np.array([np.nan, np.nan]), np.eye(2)
 
         system = _FakeSystem(assemble)
         with pytest.raises(ConvergenceError, match="non-finite"):
@@ -86,7 +85,7 @@ class TestNewtonEdgeCases:
             newton_solve(system, np.zeros(2), 1e-12, 1.0, max_iterations=0)
 
     def test_zero_iteration_error_carries_zero_count(self):
-        system = _FakeSystem(lambda x, g, s: (np.zeros(2), np.eye(2), {}))
+        system = _FakeSystem(lambda x, g, s: (np.zeros(2), np.eye(2)))
         with pytest.raises(ConvergenceError) as excinfo:
             newton_solve(system, np.zeros(2), 1e-12, 1.0, max_iterations=0)
         assert excinfo.value.iterations == 0
@@ -98,7 +97,7 @@ class TestNewtonEdgeCases:
             # Push the solution point further out each call; the
             # residual at the updated point keeps growing.
             r = np.array([10.0 * (1.0 + abs(float(x[0]))), 0.0])
-            return r, np.eye(2), {}
+            return r, np.eye(2)
 
         system = _FakeSystem(assemble)
         with pytest.raises(ConvergenceError, match="diverging") as excinfo:

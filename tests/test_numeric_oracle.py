@@ -10,6 +10,8 @@ asserts:
 
 * bit-exact agreement of the DC residual/Jacobian and the complex AC
   matrix/rhs (the plan replays the scalar accumulation order);
+* field-by-field agreement of a converged solve's device records with
+  the scalar model's at the same point;
 * end-to-end ``operating_point`` parity with the reference installed,
   including the Newton iteration count;
 * solver-counter parity (``dc.lu_solves``, ``dc.newton.iterations``) so
@@ -19,6 +21,8 @@ asserts:
 Whole solves run under the reference through
 :func:`tests.mna_reference.install`, applied with a scoped monkeypatch.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -38,6 +42,7 @@ from repro.simulator.mna import MnaSystem
 from .mna_reference import (
     assemble_ac_reference,
     assemble_dc_reference,
+    device_ops_reference,
     install,
 )
 from .test_foreign_decks import _fixture
@@ -99,22 +104,39 @@ class TestDcAssemblyAgreement:
         system = MnaSystem(corpus[key], CMOS_5UM)
         for x in _random_states(system):
             for gmin, scale in ((1e-12, 1.0), (1e-9, 0.7)):
-                ref_f, ref_j, ref_ops = assemble_dc_reference(
-                    system, x, gmin, scale
-                )
-                vec_f, vec_j, vec_ops = system.assemble_dc(x, gmin, scale)
+                ref_f, ref_j = assemble_dc_reference(system, x, gmin, scale)
+                vec_f, vec_j = system.assemble_dc(x, gmin, scale)
                 assert np.array_equal(ref_f, vec_f)
                 assert np.array_equal(ref_j, vec_j)
-                assert ref_ops.keys() == vec_ops.keys()
 
     @pytest.mark.parametrize("key", CORPUS_KEYS)
     def test_residual_only_path_agrees(self, corpus, key):
         system = MnaSystem(corpus[key], CMOS_5UM)
         for x in _random_states(system, count=3):
-            ref_f, _, ref_ops = assemble_dc_reference(system, x, 1e-12, 1.0)
-            res_f, res_ops = system.assemble_dc_residual(x, 1e-12, 1.0)
+            ref_f, _ = assemble_dc_reference(system, x, 1e-12, 1.0)
+            res_f = system.assemble_dc_residual(x, 1e-12, 1.0)
             assert np.array_equal(ref_f, res_f)
-            assert ref_ops.keys() == res_ops.keys()
+
+    @pytest.mark.parametrize("key", CORPUS_KEYS)
+    def test_converged_device_ops_match_oracle(self, corpus, key):
+        """A converged solve's records equal the scalar model's at the
+        solution, field by field and bit for bit."""
+        circuit = corpus[key]
+        op = operating_point(circuit, CMOS_5UM)
+        system = MnaSystem(circuit, CMOS_5UM)
+        x = np.zeros(system.size)
+        for node, index in system.node_index.items():
+            x[index] = op.voltages[node]
+        reference = device_ops_reference(system, x)
+        assert reference.keys() == op.device_ops.keys()
+        for name, ref_op in reference.items():
+            for field in dataclasses.fields(ref_op):
+                got = getattr(op.device_ops[name], field.name)
+                want = getattr(ref_op, field.name)
+                if isinstance(want, float):
+                    assert got.hex() == want.hex(), (name, field.name)
+                else:
+                    assert got == want, (name, field.name)
 
 
 class TestAcAssemblyAgreement:
@@ -273,8 +295,8 @@ class TestHypothesisOracle:
         system = MnaSystem(circuit, CMOS_5UM)
         rng = np.random.default_rng(seed)
         x = rng.uniform(-5.0, 5.0, size=system.size)
-        ref_f, ref_j, _ = assemble_dc_reference(system, x, 1e-12, 1.0)
-        vec_f, vec_j, _ = system.assemble_dc(x, 1e-12, 1.0)
+        ref_f, ref_j = assemble_dc_reference(system, x, 1e-12, 1.0)
+        vec_f, vec_j = system.assemble_dc(x, 1e-12, 1.0)
         np.testing.assert_allclose(vec_f, ref_f, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(vec_j, ref_j, rtol=0.0, atol=1e-12)
         # The dense plan replays the scalar accumulation order, so the

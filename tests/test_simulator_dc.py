@@ -206,3 +206,28 @@ class TestConvergenceMachinery:
         # Current through rbias equals drain current of each device.
         i_r = (10.0 - op.voltage("n4")) / 100e3
         assert op.device("m1").ids == pytest.approx(i_r, rel=1e-3)
+
+
+class TestDeviceRecords:
+    def test_one_operating_point_record_per_device_per_solve(self, monkeypatch):
+        """Newton iterations run on plain floats; the device records are
+        built once, from the converged point."""
+        from repro.devices.mosfet import MosfetOperatingPoint
+        from repro.opamp.designer import synthesize
+        from repro.opamp.testcases import paper_test_cases
+        from repro.opamp.verify import _open_loop_testbench
+
+        amp = synthesize(paper_test_cases()["C"], CMOS_5UM).best
+        circuit = _open_loop_testbench(amp, 0.0)
+        built = []
+        original = MosfetOperatingPoint.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("region"))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(MosfetOperatingPoint, "__init__", counted)
+        op = operating_point(circuit, CMOS_5UM)
+        assert op.iterations > 1
+        assert len(op.device_ops) == len(circuit.mosfets) > 0
+        assert len(built) == len(circuit.mosfets)

@@ -122,8 +122,9 @@ def monte_carlo_offset_mv(
     returned values are the *random* component.
 
     Offsets are extracted linearly -- offset = -Vout(0) / Adm at the
-    nominal operating input -- and fall back to bisection when the
-    perturbed amplifier rails (high-gain designs with unlucky draws).
+    nominal operating input -- and fall back to the offset search of
+    :func:`~repro.opamp.verify.offset_nulled_bench` when the perturbed
+    amplifier rails (high-gain designs with unlucky draws).
     """
     if samples < 2:
         raise SimulationError("need at least 2 Monte Carlo samples")
@@ -151,7 +152,7 @@ def monte_carlo_offset_mv(
             # Linear extraction in the active region.
             offsets.append(-v_out / gain)
         else:
-            # Railed: bisect the input that re-centres the output.
+            # Railed: search for the input that re-centres the output.
             offset, _, _ = offset_nulled_bench(
                 amp, vth_shifts=shifts, centre=nominal_offset
             )

@@ -5,8 +5,9 @@ these circuits."  This module is that verification step, run on the
 in-repo MNA simulator:
 
 * **offset**: the differential input voltage that centres the output,
-  found by bisection on DC operating points (this *is* the measured
-  input-referred offset, systematic effects included);
+  found by a warm-started regula falsi search on DC operating points
+  (this *is* the measured input-referred offset, systematic effects
+  included);
   :func:`offset_nulled_bench` runs that search once and returns the
   open-loop testbench and operating point at the offset;
 * **gain / UGF / phase margin**: open-loop AC analysis at the
@@ -36,6 +37,7 @@ import numpy as np
 from ..circuit.builder import CircuitBuilder
 from ..circuit.netlist import Circuit
 from ..errors import ConvergenceError, SimulationError
+from ..kb.trace import DesignTrace
 from ..obs.spans import count as metric_count
 from ..obs.spans import span as obs_span
 from ..simulator.ac import ac_analysis, log_frequencies
@@ -87,13 +89,17 @@ def offset_nulled_bench(
     vth_shifts: Optional[Dict[str, float]] = None,
     centre: float = 0.0,
 ) -> Tuple[float, Circuit, OperatingPointResult]:
-    """Bisect the differential input that centres the output at 0 V.
+    """Find the differential input that centres the output at 0 V.
 
-    The window is ``centre +- 0.3`` volts and the search stops once the
-    output is within 1 mV of 0 V (or after 40 halvings); ``vth_shifts``
-    perturbs the device thresholds (the Monte Carlo mismatch hook).  Every
-    open-loop measurement starts from the bench this returns, so one
-    verification searches for the offset once.
+    The search is Illinois regula falsi over the window ``centre +- 0.3``
+    volts: each step solves at the secant root of the bracket, and an
+    end that survives two steps in a row has its output halved, so the
+    bracket closes from both sides.  It stops once the output is within
+    1 mV of 0 V (or after 40 steps).  Every solve after the first starts
+    from the previous operating point.  ``vth_shifts`` perturbs the
+    device thresholds (the Monte Carlo mismatch hook).  Every open-loop
+    measurement starts from the bench this returns, so one verification
+    searches for the offset once.
 
     Returns:
         ``(offset, circuit, op)``: the offset voltage, the open-loop
@@ -105,11 +111,24 @@ def offset_nulled_bench(
         SimulationError: when the output cannot be centred within the
             window (the amp is broken or railed).
     """
+    guess: Dict[str, float] = {}
+
+    def solve(
+        vin: float, trace: Optional[DesignTrace] = None
+    ) -> Tuple[Circuit, OperatingPointResult]:
+        circuit = _open_loop_testbench(amp, vin)
+        op = operating_point(
+            circuit,
+            amp.process,
+            initial_guess=guess,
+            vth_shifts=vth_shifts,
+            trace=trace,
+        )
+        guess.update(op.voltages)
+        return circuit, op
 
     def output_at(vin: float) -> float:
-        circuit = _open_loop_testbench(amp, vin)
-        op = operating_point(circuit, amp.process, vth_shifts=vth_shifts)
-        return op.voltage("out")
+        return solve(vin)[1].voltage("out")
 
     search = 0.3
     lo, hi = centre - search, centre + search
@@ -122,19 +141,23 @@ def offset_nulled_bench(
             f"or bias is broken"
         )
     mid = centre
+    kept = 0  # +1 / -1: the low / high end survived the last step
     for _ in range(40):
-        mid = 0.5 * (lo + hi)
+        mid = lo - v_lo * (hi - lo) / (v_hi - v_lo)
         v_mid = output_at(mid)
         if abs(v_mid) < 1e-3:
             break
         if v_mid > 0:
-            hi = mid
+            hi, v_hi = mid, v_mid
+            if kept > 0:
+                v_lo *= 0.5
+            kept = 1
         else:
-            lo = mid
-    circuit = _open_loop_testbench(amp, mid)
-    op = operating_point(
-        circuit, amp.process, vth_shifts=vth_shifts, trace=amp.trace
-    )
+            lo, v_lo = mid, v_mid
+            if kept < 0:
+                v_hi *= 0.5
+            kept = -1
+    circuit, op = solve(mid, trace=amp.trace)
     return mid, circuit, op
 
 

@@ -244,12 +244,13 @@ def _integrate(
     while t < t_stop - 1e-15:
         h = min(t_step, t_stop - t)
         t_next = t + h
-        x_next, device_caps = _solve_timestep(
+        x_next = _solve_timestep(
             system, x, t_next, h, stimuli, bank, max_iterations
         )
         bank.accept(x_next, h)
-        # Refresh device capacitance values quasi-statically.
-        bank.cap[explicit_count:] = device_caps
+        # Refresh device capacitance values quasi-statically, at the
+        # accepted timepoint.
+        bank.cap[explicit_count:] = system.mosfet_capacitances(x_next)
         x = x_next
         t = t_next
         times.append(t)
@@ -325,10 +326,9 @@ def _solve_timestep(
         worst = np.max(np.abs(delta[:n_nodes])) if n_nodes else 0.0
         if worst > MAX_STEP:
             delta = delta * (MAX_STEP / worst)
-        x_assembled = x
         x = x + delta
         if np.all(np.abs(delta[:n_nodes]) <= VTOL * 100 + RELTOL * np.abs(x[:n_nodes])):
-            return x, system.mosfet_capacitances(x_assembled)
+            return x
     raise ConvergenceError(
         f"transient NR failed at t={t:g} ({max_iterations} iterations)",
         max_iterations,

@@ -118,6 +118,43 @@ class TestMosfetTransient:
         assert v_out[0] == pytest.approx(5.0, abs=0.1)   # input low -> out high
         assert v_out[-1] == pytest.approx(0.0, abs=0.1)  # input high -> out low
 
+    def test_device_capacitances_refreshed_at_accepted_timepoints(
+        self, monkeypatch
+    ):
+        """The quasi-static MOSFET capacitances of each step come from
+        the accepted solution, not from a Newton iterate before it."""
+        from repro.simulator.mna import MnaSystem
+
+        original = MnaSystem.mosfet_capacitances
+        points = []
+
+        def recorded(self, x):
+            points.append(np.array(x[: self.n_nodes]))
+            return original(self, x)
+
+        monkeypatch.setattr(MnaSystem, "mosfet_capacitances", recorded)
+        circuit = Circuit("inv")
+        circuit.add_vsource("vdd", "vdd", GROUND, dc=5.0)
+        circuit.add_vsource("vin", "in", GROUND, dc=0.0)
+        circuit.add_mosfet("mp", "out", "in", "vdd", "vdd", "pmos", 30e-6, 5e-6)
+        circuit.add_mosfet("mn", "out", "in", GROUND, GROUND, "nmos", 10e-6, 5e-6)
+        circuit.add_capacitor("cl", "out", GROUND, 1e-12)
+        result = transient_analysis(
+            circuit,
+            CMOS_5UM,
+            t_stop=5e-8,
+            t_step=5e-10,
+            stimuli={"vin": step_waveform(0.0, 5.0, t_step=1e-8, t_rise=1e-9)},
+        )
+        system = MnaSystem(circuit, CMOS_5UM)
+        accepted = np.column_stack(
+            [result.voltage(node) for node in system.nodes]
+        )
+        # One refresh for the initial condition, then one per step.
+        assert len(points) == len(result.times)
+        for point, row in zip(points, accepted):
+            assert np.array_equal(point, row)
+
     def test_current_source_slew_on_capacitor(self):
         """A current step into a capacitor ramps linearly: dV/dt = I/C."""
         circuit = Circuit("ramp")

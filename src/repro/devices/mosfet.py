@@ -318,16 +318,14 @@ class MosfetModel:
         xvds = self._sign * vds
         xvbs = self._sign * vbs
         cgs, cgd, cgb = self._gate_caps[region]
-        cbd = self._junction_zero_bias * self._depletion(xvbs - xvds)
-        cbs = self._junction_zero_bias * self._depletion(xvbs)
+        # Depletion factor (1 - V/pb)^-1/2, clamped under forward bias.
+        pb = self.params.pb
+        c0 = self._junction_zero_bias
+        cbd = c0 * (1.0 / math.sqrt(max(1.0 - (xvbs - xvds) / pb, 0.5)))
+        cbs = c0 * (1.0 / math.sqrt(max(1.0 - xvbs / pb, 0.5)))
         if xvds < 0.0:
             return cgd, cgs, cgb, cbs, cbd
         return cgs, cgd, cgb, cbd, cbs
-
-    def _depletion(self, vj: float) -> float:
-        """Standard (1 - V/pb)^-1/2 with forward-bias clamping."""
-        ratio = max(1.0 - vj / self.params.pb, 0.5)
-        return 1.0 / math.sqrt(ratio)
 
     # ------------------------------------------------------------------
     # Design-equation helpers (used by sizing plans)

@@ -196,9 +196,11 @@ def level1_dc(
         f = beta * (vov_eff - 0.5 * w) * w * clm
         fu = beta * w * clm * slope
         fw = beta * (vov_eff - w) * clm + beta * (vov_eff - 0.5 * w) * w * lam
+    # vth depends on vbs: dI/dvbs = dI/dvov * (-dvth/dvbs).
     fb = -fu * dvth_dvbs
 
     if reversed_mode:
+        # Chain rule through (vgs-vds, -vds, vbs-vds).
         return (
             sign * -f, -fu, fu + fw + fb, -fb, region, sign * vth, vov_eff
         )

@@ -203,8 +203,7 @@ class StampPlan:
         self.isrc_dc = np.asarray(isrc_dc, dtype=float)
         # --- MOSFETs ---------------------------------------------------
         self.mos_bind = mos_bind
-        self.mos_models = [model for _key, _name, model in mos_bind]
-        self.mos_constants = [model.constants for model in self.mos_models]
+        self.mos_constants = [model.constants for _key, _name, model in mos_bind]
         self.mos_terms = list(zip(mos_g, mos_d, mos_b, mos_s))
         # --- voltage sources ------------------------------------------
         self.vs_p = np.asarray(vs_p, dtype=np.intp)
@@ -356,7 +355,7 @@ class StampPlan:
         after device (the transient's quasi-static refresh)."""
         caps: List[float] = []
         biases = self._device_biases(x.tolist() + [0.0])
-        for model, (vgs, vds, vbs) in zip(self.mos_models, biases):
+        for (_key, _name, model), (vgs, vds, vbs) in zip(self.mos_bind, biases):
             caps += model.capacitances(vgs, vds, vbs)
         return caps
 

@@ -40,8 +40,6 @@ as a fast-fail front door.
 from __future__ import annotations
 
 import ast
-import inspect
-import textwrap
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -67,6 +65,7 @@ from .absint import (
     interpret_template,
 )
 from .diagnostics import Diagnostic, LintReport, Severity
+from .kblint import parse_callable
 from .registry import CheckerRegistry
 
 __all__ = [
@@ -408,12 +407,10 @@ def _cannot_raise(action: Callable[..., object]) -> bool:
     raise :class:`~repro.errors.SynthesisError`: no ``raise``, no
     ``assert``, and only whitelisted calls.  Anything unanalyzable is
     conservatively assumed to raise."""
-    try:
-        source = textwrap.dedent(inspect.getsource(action))
-        tree = ast.parse(source)
-    except (OSError, TypeError, ValueError, SyntaxError):
+    parsed = parse_callable(action)
+    if parsed is None:
         return False
-    for node in ast.walk(tree):
+    for node in ast.walk(parsed[1]):
         if isinstance(node, (ast.Raise, ast.Assert)):
             return False
         if isinstance(node, ast.Call) and not _is_safe_call(node.func):

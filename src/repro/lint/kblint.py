@@ -58,6 +58,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 from ..kb.plans import Plan
@@ -118,13 +119,17 @@ class StateUsage:
         return self.choices_read | self.choices_written
 
 
+#: A located callable: its def or lambda node.
+FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda]
+
+
 def _function_node(
     func: types.FunctionType, tree: ast.AST, start_line: int
-) -> Optional[ast.AST]:
+) -> Optional[FunctionNode]:
     """Locate ``func``'s own def/lambda node inside a parsed block."""
     target_line = func.__code__.co_firstlineno - start_line + 1
     name = getattr(func, "__name__", "")
-    candidates: List[ast.AST] = []
+    candidates: List[FunctionNode] = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             if node.name == name or name == "<lambda>":
@@ -134,10 +139,40 @@ def _function_node(
     if not candidates:
         return None
     # Prefer the node starting on the callable's own line.
-    for node in candidates:
-        if node.lineno == target_line:
-            return node
+    for candidate in candidates:
+        if candidate.lineno == target_line:
+            return candidate
     return candidates[0] if len(candidates) == 1 else None
+
+
+_SOURCE_CACHE: Dict[types.FunctionType, Optional[Tuple[str, FunctionNode]]] = {}
+
+
+def parse_callable(func: object) -> Optional[Tuple[str, FunctionNode]]:
+    """The dedented source text of ``func`` and its located def/lambda
+    node, or ``None`` when ``func`` is not a plain function or its
+    source is unavailable, unparsable or ambiguous.
+
+    Every source-level lint pass goes through here, so each function's
+    source is read and parsed once per process.
+    """
+    if not isinstance(func, types.FunctionType):
+        return None
+    if func in _SOURCE_CACHE:
+        return _SOURCE_CACHE[func]
+    parsed: Optional[Tuple[str, FunctionNode]] = None
+    try:
+        lines, start_line = inspect.getsourcelines(func)
+        text = textwrap.dedent("".join(lines))
+        tree = ast.parse(text)
+    except (OSError, TypeError, ValueError, SyntaxError):
+        pass
+    else:
+        node = _function_node(func, tree, start_line)
+        if node is not None:
+            parsed = (text, node)
+    _SOURCE_CACHE[func] = parsed
+    return parsed
 
 
 def _state_param(node: ast.AST) -> Optional[str]:
@@ -207,40 +242,34 @@ class _UsageVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-_ANALYSIS_CACHE: Dict[object, StateUsage] = {}
+_ANALYSIS_CACHE: Dict[types.FunctionType, StateUsage] = {}
 
 
-def analyze_callable(
-    func: Callable[..., Any],
-    depth: int = _MAX_DEPTH,
-    _seen: Optional[Set[object]] = None,
-) -> StateUsage:
+def analyze_callable(func: Callable[..., Any]) -> StateUsage:
     """Statically analyse one callable's use of the design state.
 
     Follows plain-function helpers that are passed the state object, up
-    to ``depth`` levels.  Returns a :class:`StateUsage` with
+    to ``_MAX_DEPTH`` levels.  Returns a :class:`StateUsage` with
     ``resolved=False`` when the source is unavailable or unparsable.
     """
+    if not isinstance(func, types.FunctionType):
+        return StateUsage(resolved=False)
     cached = _ANALYSIS_CACHE.get(func)
-    if cached is not None and _seen is None:
-        return cached
-    _seen = set(_seen or ())
-    usage = StateUsage()
-    if not isinstance(func, types.FunctionType) or func in _seen:
-        usage.resolved = False
-        return usage
-    _seen.add(func)
-    try:
-        lines, start_line = inspect.getsourcelines(func)
-        text = textwrap.dedent("".join(lines))
-        tree = ast.parse(text)
-    except (OSError, TypeError, SyntaxError, IndentationError):
-        tree = None
-    node = _function_node(func, tree, start_line) if tree is not None else None
-    if node is None:
-        usage.resolved = False
-        _ANALYSIS_CACHE[func] = usage
-        return usage
+    if cached is None:
+        cached = _ANALYSIS_CACHE[func] = _analyze(func, _MAX_DEPTH, frozenset())
+    return cached
+
+
+def _analyze(
+    func: types.FunctionType, depth: int, seen: FrozenSet[types.FunctionType]
+) -> StateUsage:
+    # Not cached: a helper reached through a chain is cut off by
+    # ``depth`` and ``seen``, so what it yields here is not its own
+    # full usage.  Only the parse is shared.
+    parsed = parse_callable(func) if func not in seen else None
+    if parsed is None:
+        return StateUsage(resolved=False)
+    text, node = parsed
     visitor = _UsageVisitor(_state_param(node))
     visitor.visit(node)
     usage = visitor.usage
@@ -249,11 +278,10 @@ def analyze_callable(
         for helper_name in visitor.helper_calls:
             helper = func.__globals__.get(helper_name)
             if isinstance(helper, types.FunctionType):
-                usage.merge(analyze_callable(helper, depth - 1, _seen))
+                usage.merge(_analyze(helper, depth - 1, seen | {func}))
     # Helper recursion may legitimately hit unparsable leaves; the
     # top-level callable itself resolved, which is what PLAN204 tracks.
     usage.resolved = True
-    _ANALYSIS_CACHE[func] = usage
     return usage
 
 

@@ -8,6 +8,11 @@ Two op amp design styles are understood, exactly as in the prototype:
   (:mod:`repro.opamp.twostage`), whose plan owns the feedback
   compensation design one level above the sub-blocks.
 
+The folded-cascode style (:mod:`repro.opamp.folded_cascode`) is an
+opt-in third template (``EXTENDED_STYLES``).  Every style is a
+registered template, so one designer and one verifier serve them all;
+there is no fully differential style.
+
 :func:`~repro.opamp.designer.synthesize` runs breadth-first design-style
 selection over both templates and picks the feasible design with the
 smallest estimated area (active devices plus compensation capacitor).
@@ -18,11 +23,6 @@ in-repo simulator, standing in for the paper's SPICE verification.
 from .result import DesignedOpAmp, SynthesisResult
 from .compensation import CompensationDesign, design_compensation
 from .designer import EXTENDED_STYLES, OPAMP_STYLES, design_style, synthesize
-from .fully_differential import (
-    DesignedFdOpAmp,
-    design_fully_differential,
-    verify_fd_opamp,
-)
 from .verify import (
     VerificationReport,
     input_noise_spectrum,
@@ -45,7 +45,4 @@ __all__ = [
     "measure_input_noise",
     "input_noise_spectrum",
     "VerificationReport",
-    "DesignedFdOpAmp",
-    "design_fully_differential",
-    "verify_fd_opamp",
 ]

@@ -5,7 +5,7 @@ OASYS to include more op amp topologies (e.g., folded cascade [sic] and
 fully differential styles)."  This module is that expansion for the
 folded-cascode style, built entirely from the same framework pieces:
 its own topology template, plan, and patch rules, reusing the existing
-sub-block designers.
+sub-block designers.  The fully differential style is not implemented.
 
 Topology (single-ended, PMOS input):
 

@@ -1,9 +1,11 @@
 """End-to-end tests over foreign (hand-written) SPICE decks.
 
-The fixtures under ``tests/fixtures/`` were not emitted by the
-synthesizer: they exercise the parse -> ERC -> topology pipeline on
-circuits with styles the designer never produces (diode loads feeding
-a latch, cross-coupled pairs, subckt hierarchies with shared bias).
+The hand-written fixtures under ``tests/fixtures/`` exercise the
+parse -> ERC -> topology pipeline on circuits with styles the designer
+never produces (diode loads feeding a latch, cross-coupled pairs,
+subckt hierarchies with shared bias).  ``fd_cmfb.sp`` is the exception:
+it is the frozen output of the former fully differential designer, and
+``test_lint_erc.py`` and ``test_topology.py`` lint it.
 """
 
 from pathlib import Path

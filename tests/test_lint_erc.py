@@ -4,6 +4,7 @@ collect-all ``Circuit.validate``, subcircuit deck parsing, and the
 strict gates in the designer and simulator entry points."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -30,12 +31,13 @@ from repro.lint import (
     lint_spice_deck,
     validation_diagnostics,
 )
-from repro.opamp import design_fully_differential, synthesize
+from repro.opamp import synthesize
 from repro.opamp.designer import design_style
 from repro.opamp.testcases import paper_test_cases
 from repro.simulator import ac_analysis, operating_point, transient_analysis
 from repro.simulator.transient import step_waveform
 
+FD_DECK = Path(__file__).parent / "fixtures" / "fd_cmfb.sp"
 
 def _grounded_anchor(circuit):
     """A minimal legal grounded sub-network to hang fixtures off."""
@@ -239,18 +241,6 @@ r3 vdd n3 1k
 # ----------------------------------------------------------------------
 # Shipped designs are clean
 # ----------------------------------------------------------------------
-def _fd_spec():
-    return OpAmpSpec(
-        gain_db=45.0,
-        unity_gain_hz=1e6,
-        phase_margin_deg=60.0,
-        slew_rate=2e6,
-        load_capacitance=10e-12,
-        output_swing=6.0,
-        offset_max_mv=5.0,
-    )
-
-
 def _fc_spec():
     return OpAmpSpec(
         gain_db=85.0,
@@ -280,8 +270,8 @@ class TestShippedDesignsClean:
         assert len(report) == 0, report.render_text()
 
     def test_fully_differential_lints_clean(self):
-        amp = design_fully_differential(_fd_spec(), CMOS_5UM)
-        report = lint_circuit(amp.standalone_circuit(), process=CMOS_5UM)
+        circuit, _ = parse_deck(FD_DECK.read_text(), name="fd_cmfb")
+        report = lint_circuit(circuit, process=CMOS_5UM)
         assert len(report) == 0, report.render_text()
 
 

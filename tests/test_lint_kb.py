@@ -2,6 +2,9 @@
 knowledge-base self-check over every registered template, the static
 usage analysis itself, and the checker-registry contract."""
 
+import inspect
+from collections import Counter
+
 import pytest
 
 from repro.errors import LintError
@@ -14,9 +17,13 @@ from repro.lint import (
     Diagnostic,
     Severity,
     analyze_callable,
+    kblint,
+    lint_dataflow,
+    lint_feasibility,
     lint_knowledge_base,
     lint_plan,
     lint_template,
+    lint_units,
 )
 from repro.lint.kblint import DEFAULT_PRESETS
 from repro.opamp.designer import OPAMP_CATALOG
@@ -62,6 +69,27 @@ def _step_via_helper(state: DesignState):
     return state
 
 
+# A helper chain one level longer than the analysis follows from its head.
+def _chain_e(state: DesignState):
+    state.set("e_out", 1.0)
+
+
+def _chain_d(state: DesignState):
+    _chain_e(state)
+
+
+def _chain_c(state: DesignState):
+    _chain_d(state)
+
+
+def _chain_b(state: DesignState):
+    _chain_c(state)
+
+
+def _chain_a(state: DesignState):
+    _chain_b(state)
+
+
 def _two_step_plan():
     return Plan("p", [PlanStep("first", _set_x), PlanStep("second", _set_y_from_x)])
 
@@ -97,6 +125,35 @@ class TestAnalyzeCallable:
     def test_choices(self):
         usage = analyze_callable(_choose_ghost_slot)
         assert usage.choices_written == {"ghost_slot"}
+
+    def test_helper_usage_does_not_depend_on_call_order(self, monkeypatch):
+        monkeypatch.setattr(kblint, "_ANALYSIS_CACHE", {})
+        assert analyze_callable(_chain_a).writes == set()  # e is too deep
+        # _chain_b was reached above with the depth cut-off applied; a
+        # direct call must still see its full chain.
+        assert analyze_callable(_chain_b).writes == {"e_out"}
+
+
+class TestSourceParseCache:
+    def test_kb_passes_read_each_callable_once(self, monkeypatch):
+        monkeypatch.setattr(kblint, "_SOURCE_CACHE", {})
+        monkeypatch.setattr(kblint, "_ANALYSIS_CACHE", {})
+        reads: Counter = Counter()
+        getsourcelines = inspect.getsourcelines
+
+        def counting(obj):
+            reads[obj] += 1
+            return getsourcelines(obj)
+
+        # inspect.getsource reads through getsourcelines, so this counts both.
+        monkeypatch.setattr(inspect, "getsourcelines", counting)
+        lint_knowledge_base()
+        lint_dataflow()
+        lint_units()
+        lint_feasibility()
+        assert reads, "the KB passes read no source at all"
+        twice = {obj.__qualname__: n for obj, n in reads.items() if n > 1}
+        assert not twice, twice
 
 
 # ----------------------------------------------------------------------

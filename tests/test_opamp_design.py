@@ -1,11 +1,9 @@
 """Tests for the op amp designers: compensation, styles, selection."""
 
-import math
-
 import pytest
 
 from repro import CMOS_5UM, OpAmpSpec, synthesize
-from repro.errors import SynthesisError
+from repro.errors import PlanError, SynthesisError
 from repro.opamp.compensation import (
     design_compensation,
     phase_margin_two_stage,
@@ -127,8 +125,8 @@ class TestStyleDesigners:
         assert "compensation" in names
 
     def test_unknown_style_raises(self):
-        with pytest.raises(Exception):
-            design_style("fully_differential", easy_spec(), CMOS_5UM)
+        with pytest.raises(PlanError):
+            design_style("no_such_style", easy_spec(), CMOS_5UM)
 
     def test_trace_has_plan_events(self):
         amp = design_style("one_stage", easy_spec(), CMOS_5UM)

@@ -17,12 +17,13 @@ import pytest
 
 from repro import CMOS_5UM, OpAmpSpec
 from repro.circuit import Circuit
+from repro.circuit.netlist_io import parse_deck
 from repro.lint import analyze_topology, lint_topology
-from repro.opamp import design_fully_differential
 from repro.opamp.designer import EXTENDED_STYLES, design_style, synthesize
 from repro.opamp.testcases import paper_test_cases
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+FD_DECK = Path(__file__).parent / "fixtures" / "fd_cmfb.sp"
 UPDATE = os.environ.get("REPRO_UPDATE_GOLDEN") == "1"
 CASES = sorted(paper_test_cases())
 
@@ -71,19 +72,8 @@ class TestSelfCheckCoverage:
         assert analysis.coverage == 1.0, analysis.render_text()
 
     def test_fully_differential_fully_recognized(self):
-        spec = OpAmpSpec(
-            gain_db=45.0,
-            unity_gain_hz=1e6,
-            phase_margin_deg=60.0,
-            slew_rate=2e6,
-            load_capacitance=10e-12,
-            output_swing=6.0,
-            offset_max_mv=5.0,
-        )
-        amp = design_fully_differential(spec, CMOS_5UM)
-        analysis, report = lint_topology(
-            amp.standalone_circuit(), process=CMOS_5UM
-        )
+        circuit, _ = parse_deck(FD_DECK.read_text(), name="fd_cmfb")
+        analysis, report = lint_topology(circuit, process=CMOS_5UM)
         assert analysis.coverage == 1.0, analysis.render_text()
         assert report.exit_code() == 0, report.render("text")
 

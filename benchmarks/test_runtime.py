@@ -131,6 +131,7 @@ def _verify_run(amp, count_evaluations):
         "newton_iterations": tracer.metrics.counter_total("dc.newton.iterations"),
         "lu_solves": tracer.metrics.counter_total("dc.lu_solves"),
         "dc_failures": tracer.metrics.counter_total("dc.failures"),
+        "slew_timesteps": tracer.metrics.counter_total("transient.timesteps"),
     }
     if count_evaluations:
         counters["mosfet_evaluations"] = evaluations[0]
@@ -150,8 +151,8 @@ def _verify_measurements():
 
 def test_verify_phase_breakdown(once, benchmark):
     """Verification of cases A/B/C, phase by phase: the wall time of
-    ``verify_opamp``, each phase's span time, and the DC-solver and
-    device-model counters that explain them.  CI gates the counters
+    ``verify_opamp``, each phase's span time, and the DC-solver,
+    device-model and transient-step counters that explain them.  CI gates the counters
     against the committed baseline exactly and the ``*_ms`` leaves with
     ``repro slo --check-bench``."""
     measurements = once(benchmark, _verify_measurements)
@@ -172,13 +173,15 @@ def test_verify_phase_breakdown(once, benchmark):
             "newton_iterations": counters["newton_iterations"],
             "lu_solves": counters["lu_solves"],
             "mosfet_evaluations": counted["mosfet_evaluations"],
+            "slew_timesteps": counters["slew_timesteps"],
         }
         print(
             f"  verify {label}: {wall_ms:7.1f} ms ("
             + ", ".join(f"{p} {phase_ms[p]:.1f}" for p in VERIFY_PHASES)
             + f"); {counters['dc_solves']:.0f} DC solves, "
             f"{counters['newton_iterations']:.0f} Newton iterations, "
-            f"{counted['mosfet_evaluations']} MOSFET evaluations"
+            f"{counted['mosfet_evaluations']} MOSFET evaluations, "
+            f"{counters['slew_timesteps']:.0f} slew timesteps"
         )
 
     if BENCH_JSON.exists():

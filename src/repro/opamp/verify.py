@@ -14,7 +14,9 @@ in-repo MNA simulator:
   offset-nulled operating point;
 * **output swing**: a unity-gain buffer swept across the rails; the
   swing is where the buffer stops tracking;
-* **slew rate**: large-signal step response of the unity-gain buffer;
+* **slew rate** and 1% **settling time**: large-signal step response of
+  the unity-gain buffer, one transient whose step follows the local
+  truncation error;
 * **power**: total supply power at the quiescent point;
 * optionally **CMRR / PSRR** and **input-referred noise**, from the
   same offset-nulled operating point.
@@ -227,11 +229,17 @@ def _measure_swing(amp: DesignedOpAmp, tracking_error: float = 0.25) -> float:
 
 def _measure_slew(amp: DesignedOpAmp, swing: float):
     """Step the unity-gain buffer across most of the verified swing;
-    returns (slew_rate, settling_time_1pct_or_None) from one transient."""
+    returns (slew_rate, settling_time_1pct_or_None) from one transient.
+
+    The run spans four times the predicted transition, with the input
+    edge at 5% of it.  Its step is controlled by local truncation error
+    and capped at 1/50 of the span, SPICE2's default TMAX, so the
+    timepoints are uneven: about 90 on the paper cases.
+    """
     step = max(0.5, 0.6 * swing)
     expected = amp.performance.get("slew_rate", amp.spec.slew_rate)
     duration = 4.0 * (2.0 * step) / expected
-    t_step = duration / 600.0
+    t_step = duration / 50.0
     builder = CircuitBuilder("slew_tb", amp.process)
     builder.supplies()
     builder.vsource("in", "inp", "0", dc=-step)
@@ -372,7 +380,9 @@ def verify_opamp(
         amp: a designed op amp.
         measure_swing / measure_slew: the DC-sweep and transient
             measurements dominate runtime; benches that only need AC
-            numbers can skip them.
+            numbers can skip them.  The slew transient gives
+            ``slew_rate`` and ``settling_time_1pct``; if it fails to
+            converge, the failure becomes ``notes["slew_rate"]``.
         measure_rejections: also measure CMRR and PSRR (keys
             ``cmrr_db``, ``psrr_vdd_db``, ``psrr_vss_db``); a failure
             becomes ``notes["rejection"]``.

@@ -8,8 +8,8 @@ models, providing
   :func:`~repro.simulator.dc.operating_point`;
 * small-signal AC analysis, :func:`~repro.simulator.ac.ac_analysis`;
 * DC transfer sweeps, :func:`~repro.simulator.sweep.dc_sweep`;
-* transient analysis (trapezoidal), :func:`~repro.simulator.transient.
-  transient_analysis`;
+* transient analysis (trapezoidal, step set by local truncation
+  error), :func:`~repro.simulator.transient.transient_analysis`;
 * measurement helpers (gain, UGF, phase margin, swing, slew),
   :mod:`repro.simulator.analysis`.
 

@@ -215,7 +215,12 @@ def settling_time(
 ) -> Optional[float]:
     """Time after which the waveform stays within ``tolerance`` (fraction
     of the total transition) of its final value.  None if it never
-    settles within the record."""
+    settles within the record.
+
+    The time is interpolated linearly where the waveform enters the band
+    on its last out-of-band segment, so it does not depend on how far
+    apart the samples are (a transient's timepoints are not evenly
+    spaced)."""
     times = np.asarray(times, dtype=float)
     voltages = np.asarray(voltages, dtype=float)
     final = voltages[-1]
@@ -223,12 +228,15 @@ def settling_time(
     if swing < 1e-12:
         return float(times[0])
     band = tolerance * swing
-    outside = np.nonzero(np.abs(voltages - final) > band)[0]
+    error = voltages - final
+    outside = np.nonzero(np.abs(error) > band)[0]
     if outside.size == 0:
         return float(times[0])
-    last_outside = outside[-1]
+    k = outside[-1]
     # Require at least two trailing in-band samples; a waveform that only
     # touches the band at its very last point has not settled.
-    if last_outside + 2 >= times.size:
+    if k + 2 >= times.size:
         return None
-    return float(times[last_outside + 1])
+    edge = math.copysign(band, error[k])
+    fraction = (error[k] - edge) / (error[k] - error[k + 1])
+    return float(times[k] + fraction * (times[k + 1] - times[k]))

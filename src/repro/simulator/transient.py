@@ -1,4 +1,4 @@
-"""Transient analysis with trapezoidal integration.
+"""Transient analysis with LTE-controlled trapezoidal integration.
 
 Used by the verification layer to measure slew rate and settling of
 synthesized op amps (unity-gain step response), standing in for the
@@ -9,28 +9,48 @@ capacitances evaluated quasi-statically at each accepted timepoint) are
 replaced by their trapezoidal companion models; the resulting nonlinear
 system is solved by the same damped NR as the DC solver.
 
-Voltage sources may be driven by arbitrary waveforms via ``stimuli``:
-a mapping from source name to ``f(t) -> volts``.
+The step size follows the local truncation error (LTE), as in SPICE2.
+The trapezoidal LTE of a node voltage is ``h**3 / 12`` times its third
+time derivative, estimated from the third divided difference of the
+last three accepted points and the candidate point.  A step is accepted
+when that estimate is at most ``TRTOL * (RELTOL * |v| + VNTOL)`` on
+every node; the next step is scaled by ``0.9 * err**(-1/3)``, clamped
+to [1/4, 2] and to the caller's ``t_step``.  A step whose Newton solve
+fails is cut by 8 and retried.  Rejected attempts leave the companion
+state and the device capacitances untouched.  There is no breakpoint
+protocol: the error test itself rejects a step across a stimulus edge.
+
+Voltage and current sources may be driven by arbitrary waveforms via
+``stimuli``: a mapping from source name to ``f(t) -> value``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import replace as dc_replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..circuit.elements import GROUND
+from ..circuit.elements import GROUND, CurrentSource, VoltageSource
 from ..circuit.netlist import Circuit
 from ..errors import ConvergenceError, SimulationError
 from ..obs.spans import count as metric_count
 from ..obs.spans import span as obs_span
 from ..process.parameters import ProcessParameters
-from .dc import MAX_STEP, RELTOL, VTOL, operating_point
+from .dc import MAX_STEP, VTOL, operating_point
+from .dc import RELTOL as NEWTON_RELTOL
 from .mna import MnaSystem
 
 __all__ = ["TransientResult", "transient_analysis", "step_waveform"]
+
+#: LTE tolerance factor (SPICE2's TRTOL).
+TRTOL = 7.0
+#: Relative node-voltage tolerance of the LTE test (SPICE2's RELTOL).
+RELTOL = 1e-3
+#: Absolute node-voltage tolerance of the LTE test, volts (SPICE2's VNTOL).
+VNTOL = 1e-6
 
 
 @dataclass
@@ -38,7 +58,8 @@ class TransientResult:
     """Waveforms from a transient run.
 
     Attributes:
-        times: seconds, ascending, including t=0.
+        times: the accepted timepoints, seconds, ascending and unevenly
+            spaced, from exactly 0 to exactly ``t_stop``.
         waveforms: node name -> voltage array aligned with ``times``.
     """
 
@@ -135,6 +156,28 @@ def _device_cap_branches(system: MnaSystem) -> List[Tuple[int, int]]:
     return branches
 
 
+def _companion_bank(
+    system: MnaSystem, initial: Circuit, x: np.ndarray
+) -> Tuple[_CompanionBank, int]:
+    """The companion bank at the initial condition ``x``, and the number
+    of explicit capacitors (the MOSFET cap branches follow them)."""
+    node_a: List[int] = []
+    node_b: List[int] = []
+    caps: List[float] = []
+    for cap in initial.capacitors:
+        node_a.append(system.index_of(cap.node_a))
+        node_b.append(system.index_of(cap.node_b))
+        caps.append(cap.capacitance)
+    explicit_count = len(caps)
+    for a, b in _device_cap_branches(system):
+        node_a.append(a)
+        node_b.append(b)
+    caps.extend(system.mosfet_capacitances(x))
+    bank = _CompanionBank(node_a, node_b, caps)
+    bank.v_prev = bank.branch_voltages(x)
+    return bank, explicit_count
+
+
 def transient_analysis(
     circuit: Circuit,
     process: ProcessParameters,
@@ -144,17 +187,21 @@ def transient_analysis(
     max_iterations: int = 100,
     strict: bool = False,
 ) -> TransientResult:
-    """Run a fixed-step trapezoidal transient.
+    """Run a trapezoidal transient whose step follows the local
+    truncation error (see the module docstring for the error test and
+    its constants :data:`TRTOL`, :data:`RELTOL` and :data:`VNTOL`).
 
     The initial condition is the DC operating point with all stimuli
-    evaluated at t=0.
+    evaluated at t=0.  The first step is ``t_step / 4``.
 
     Args:
         circuit / process: netlist and process.
-        t_stop: final time, seconds.
-        t_step: fixed integration step, seconds.
-        stimuli: optional waveform per voltage-source name; sources not
-            listed hold their DC value.
+        t_stop: final time, seconds; the last timepoint is exactly this.
+        t_step: the largest step the integrator may take, seconds
+            (SPICE's TMAX).  The accepted timepoints in ``times`` are
+            not evenly spaced.
+        stimuli: optional waveform per voltage- or current-source name;
+            sources not listed hold their DC value.
         max_iterations: NR budget per timestep.
         strict: additionally run the full ERC lint pass and raise
             :class:`~repro.errors.LintError` on any error-severity
@@ -162,6 +209,13 @@ def transient_analysis(
 
     Returns:
         :class:`TransientResult`.
+
+    Raises:
+        SimulationError: for a bad time range, or a ``stimuli`` key that
+            names no voltage or current source; both before the DC
+            solve.
+        ConvergenceError: when a step's Newton solve still fails once
+            the step has been cut below ``t_step * 1e-9``.
     """
     if strict:
         from ..lint import assert_erc_clean  # local: avoid import cycle
@@ -175,11 +229,20 @@ def transient_analysis(
     ):
         raise SimulationError(f"bad transient range t_stop={t_stop}, t_step={t_step}")
     stimuli = {k.lower(): v for k, v in (stimuli or {}).items()}
+    sources = {
+        element.name.lower()
+        for element in circuit.elements
+        if isinstance(element, (VoltageSource, CurrentSource))
+    }
+    unknown = sorted(set(stimuli) - sources)
+    if unknown:
+        raise SimulationError(
+            f"stimuli {', '.join(map(repr, unknown))} name no voltage or "
+            f"current source of circuit {circuit.name!r}"
+        )
 
     # Initial condition: DC solve with t=0 stimulus values.
     initial = Circuit(circuit.name)
-    from dataclasses import replace as dc_replace
-
     for element in circuit.elements:
         key = element.name.lower()
         if key in stimuli:
@@ -210,6 +273,33 @@ def transient_analysis(
     return TransientResult(times=np.asarray(times), waveforms=waveforms)
 
 
+def _lte_ratio(
+    times: Sequence[float],
+    history: Sequence[np.ndarray],
+    t_next: float,
+    x_next: np.ndarray,
+    n_nodes: int,
+) -> float:
+    """Largest ratio, over the node voltages, of the trapezoidal LTE
+    estimate to its tolerance ``TRTOL * (RELTOL * |v| + VNTOL)``.
+
+    The third time derivative is six times the third divided difference
+    through the last three accepted points and ``(t_next, x_next)``, so
+    the LTE ``h**3 / 12 * x'''`` is ``h**3 / 2`` times that difference.
+    """
+    points = (*times[-3:], t_next)
+    diffs = [state[:n_nodes] for state in history[-3:]] + [x_next[:n_nodes]]
+    for order in (1, 2, 3):
+        diffs = [
+            (diffs[k + 1] - diffs[k]) / (points[k + order] - points[k])
+            for k in range(len(diffs) - 1)
+        ]
+    h = t_next - points[2]
+    lte = h**3 / 2.0 * np.abs(diffs[0])
+    tolerance = TRTOL * (RELTOL * np.abs(x_next[:n_nodes]) + VNTOL)
+    return float(np.max(lte / tolerance))
+
+
 def _integrate(
     system: MnaSystem,
     initial: Circuit,
@@ -219,34 +309,43 @@ def _integrate(
     stimuli: Dict[str, Callable[[float], float]],
     max_iterations: int,
 ):
-    """Fixed-step integration: one :class:`_CompanionBank` holds every
-    capacitor branch, and companion stamps/updates are whole-bank array
-    operations."""
-    node_a: List[int] = []
-    node_b: List[int] = []
-    caps: List[float] = []
-    for cap in initial.capacitors:
-        node_a.append(system.index_of(cap.node_a))
-        node_b.append(system.index_of(cap.node_b))
-        caps.append(cap.capacitance)
-    explicit_count = len(caps)
-    for a, b in _device_cap_branches(system):
-        node_a.append(a)
-        node_b.append(b)
-    caps.extend(system.mosfet_capacitances(x))
-    bank = _CompanionBank(node_a, node_b, caps)
-    bank.v_prev = bank.branch_voltages(x)
+    """LTE-controlled integration from the initial condition ``x``;
+    returns the accepted ``(times, history)``.
+
+    Only an accepted step updates the companion bank and refreshes the
+    device capacitances; a rejected attempt just stamps from them.
+    """
+    bank, explicit_count = _companion_bank(system, initial, x)
+    n_nodes = system.n_nodes
+    h_floor = t_step * 1e-9
 
     times = [0.0]
     history = [x.copy()]
 
     t = 0.0
-    while t < t_stop - 1e-15:
-        h = min(t_step, t_stop - t)
-        t_next = t + h
-        x_next = _solve_timestep(
-            system, x, t_next, h, stimuli, bank, max_iterations
-        )
+    h = t_step / 4.0
+    while t < t_stop:
+        if t_stop - (t + h) <= h_floor:  # land on t_stop, leave no sliver
+            h = t_stop - t
+            t_next = t_stop
+        else:
+            t_next = t + h
+        try:
+            x_next = _solve_timestep(
+                system, x, t_next, h, stimuli, bank, max_iterations
+            )
+        except ConvergenceError:
+            h /= 8.0
+            if h < h_floor:
+                raise
+            continue
+        factor = 1.0  # the first two steps have no history to test
+        if len(times) >= 3:
+            err = _lte_ratio(times, history, t_next, x_next, n_nodes)
+            factor = min(2.0, max(0.25, 0.9 * err ** (-1.0 / 3.0))) if err else 2.0
+            if err > 1.0:
+                h *= factor
+                continue
         bank.accept(x_next, h)
         # Refresh device capacitance values quasi-statically, at the
         # accepted timepoint.
@@ -255,6 +354,7 @@ def _integrate(
         t = t_next
         times.append(t)
         history.append(x.copy())
+        h = min(h * factor, t_step)
     return times, history
 
 
@@ -265,8 +365,6 @@ def _stimulus_values(system: MnaSystem, stimuli, t: float):
         key = source.name.lower()
         if key in stimuli:
             source_values[key] = float(stimuli[key](t))
-    from ..circuit.elements import CurrentSource
-
     isource_values = {}
     for element in system.circuit.elements:
         if isinstance(element, CurrentSource):
@@ -327,7 +425,10 @@ def _solve_timestep(
         if worst > MAX_STEP:
             delta = delta * (MAX_STEP / worst)
         x = x + delta
-        if np.all(np.abs(delta[:n_nodes]) <= VTOL * 100 + RELTOL * np.abs(x[:n_nodes])):
+        if np.all(
+            np.abs(delta[:n_nodes])
+            <= VTOL * 100 + NEWTON_RELTOL * np.abs(x[:n_nodes])
+        ):
             return x
     raise ConvergenceError(
         f"transient NR failed at t={t:g} ({max_iterations} iterations)",

@@ -152,6 +152,14 @@ class TestSettlingTime:
         # at the end of a 20-tau record the residual shifts it slightly).
         assert t_settle == pytest.approx(4.6 * tau, rel=0.1)
 
+    def test_uneven_grid_interpolates_band_entry(self):
+        """Coarse samples after the band entry must not push the answer
+        out to the next sample (6.0 here); the exact time is 4.60."""
+        times = np.concatenate([np.linspace(0, 4.6, 47), [6.0, 8.0, 10.0]])
+        voltages = 1.0 - np.exp(-times)
+        t_settle = settling_time(times, voltages, tolerance=0.01)
+        assert t_settle == pytest.approx(4.605, rel=0.01)
+
     def test_never_settles(self):
         times = np.linspace(0, 1e-6, 101)
         voltages = np.sin(times * 2e7) + times * 1e6

@@ -8,11 +8,16 @@ match its predicted performance.
 import pytest
 
 from repro import CMOS_5UM, OpAmpSpec, synthesize, verify_opamp
+from repro.errors import ConvergenceError
+from repro.opamp import verify
 from repro.opamp.designer import design_style
 from repro.opamp.testcases import SPEC_A, SPEC_B, SPEC_C
 from repro.obs.spans import Tracer
 from repro.opamp.verify import open_loop_response
+from repro.simulator import transient
 from repro.simulator.analysis import crossover_frequency
+
+from .transient_reference import install as install_fixed_step
 
 
 def easy_spec(**overrides):
@@ -122,6 +127,42 @@ class TestVerifyReports:
     def test_case_a_swing(self, amp_a):
         report = verify_opamp(amp_a, measure_swing=True, measure_slew=False)
         assert report.get("output_swing") >= SPEC_A.output_swing * 0.95
+
+
+class TestSlewTransient:
+    @pytest.mark.parametrize("spec", [SPEC_A, SPEC_B, SPEC_C], ids="ABC")
+    def test_slew_matches_fixed_step_oracle(self, monkeypatch, spec):
+        """The measured slew rate is within 2% of the same bench run by
+        the fixed-step oracle on a grid of duration / 6000."""
+        amp = synthesize(spec, CMOS_5UM).best
+        report = verify_opamp(amp)
+        install_fixed_step(monkeypatch.setattr)
+        adaptive = verify.transient_analysis
+
+        def fine_grid(circuit, process, t_stop, t_step, **kwargs):
+            return adaptive(circuit, process, t_stop, t_stop / 6000.0, **kwargs)
+
+        monkeypatch.setattr(verify, "transient_analysis", fine_grid)
+        oracle, _ = verify._measure_slew(amp, report.get("output_swing"))
+        assert report.get("slew_rate") == pytest.approx(oracle, rel=0.02)
+
+    def test_case_a_step_count(self, amp_a):
+        tracer = Tracer()
+        with tracer.activate():
+            verify_opamp(amp_a)
+        assert tracer.metrics.counter_total("transient.analyses") == 1
+        assert tracer.metrics.counter_total("transient.timesteps") <= 150
+
+    def test_newton_failure_becomes_note(self, monkeypatch, amp_a):
+        def always_fail(system, x_prev, t, *args):
+            raise ConvergenceError(f"transient NR failed at t={t:g}", 100)
+
+        monkeypatch.setattr(transient, "_solve_timestep", always_fail)
+        report = verify_opamp(amp_a, measure_swing=False)
+        assert "slew_rate" not in report.measured
+        assert report.notes["slew_rate"].startswith(
+            "transient failed: transient NR failed"
+        )
 
 
 class TestPredictionAccuracy:

@@ -6,10 +6,32 @@ import numpy as np
 import pytest
 
 from repro.circuit import GROUND, Circuit
-from repro.errors import SimulationError
+from repro.errors import ConvergenceError, SimulationError
 from repro.process import CMOS_5UM
-from repro.simulator import dc_sweep, transient_analysis
+from repro.simulator import dc_sweep, transient, transient_analysis
 from repro.simulator.transient import step_waveform
+
+from .transient_reference import install as install_fixed_step
+
+
+def rc_circuit():
+    circuit = Circuit("rc")
+    circuit.add_vsource("vin", "in", GROUND, dc=0.0)
+    circuit.add_resistor("r1", "in", "out", 1e3)
+    circuit.add_capacitor("c1", "out", GROUND, 1e-9)
+    return circuit
+
+
+def rc_step_response(**kwargs):
+    """The RC step response over 5 tau = 5 us with at most 50 ns steps."""
+    return transient_analysis(
+        rc_circuit(),
+        CMOS_5UM,
+        t_stop=5e-6,
+        t_step=5e-8,
+        stimuli={"vin": step_waveform(0.0, 1.0, t_step=1e-7, t_rise=1e-9)},
+        **kwargs,
+    )
 
 
 class TestStepWaveform:
@@ -171,6 +193,95 @@ class TestMosfetTransient:
         v_out = result.voltage("out")
         slope = (v_out[-1] - v_out[50]) / (result.times[-1] - result.times[50])
         assert slope == pytest.approx(1e-6 / 1e-9, rel=0.01)
+
+
+class TestStimuliNames:
+    """A stimulus must drive a voltage or current source; any other key
+    is refused before the DC solve."""
+
+    @pytest.fixture(autouse=True)
+    def no_dc_solve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("DC solve ran before the stimuli check")
+
+        monkeypatch.setattr(transient, "operating_point", refuse)
+
+    def test_key_naming_no_element_rejected(self):
+        # Used to be ignored: the run returned a flat 0 V waveform.
+        wave = step_waveform(0.0, 1.0, t_step=0.0)
+        with pytest.raises(SimulationError, match="'vinn'"):
+            transient_analysis(
+                rc_circuit(), CMOS_5UM, 1e-6, 1e-8, stimuli={"vinn": wave}
+            )
+
+    def test_key_naming_a_resistor_rejected(self):
+        # Used to escape as a bare TypeError from dataclasses.replace.
+        wave = step_waveform(0.0, 1.0, t_step=0.0)
+        with pytest.raises(SimulationError, match="'r1'"):
+            transient_analysis(
+                rc_circuit(), CMOS_5UM, 1e-6, 1e-8, stimuli={"R1": wave}
+            )
+
+
+class TestStepControl:
+    def test_steps_bounded_and_end_on_t_stop(self):
+        result = rc_step_response()
+        steps = np.diff(result.times)
+        assert result.times[0] == 0.0
+        assert result.times[-1] == 5e-6
+        assert np.all(steps > 0)
+        assert np.all(steps <= 5e-8 * (1 + 1e-12))
+
+    def test_agrees_with_fixed_step_oracle(self, monkeypatch):
+        """The adaptive waveform, interpolated onto a fine fixed-step
+        oracle grid, matches it to well under 1% of the step."""
+        adaptive = rc_step_response()
+        install_fixed_step(monkeypatch.setattr)
+        oracle = transient_analysis(
+            rc_circuit(),
+            CMOS_5UM,
+            t_stop=5e-6,
+            t_step=5e-10,
+            stimuli={"vin": step_waveform(0.0, 1.0, t_step=1e-7, t_rise=1e-9)},
+        )
+        resampled = np.interp(
+            oracle.times, adaptive.times, adaptive.voltage("out")
+        )
+        assert np.max(np.abs(resampled - oracle.voltage("out"))) < 5e-3
+
+    def test_newton_failure_retries_on_smaller_step(self, monkeypatch):
+        original = transient._solve_timestep
+        calls = []
+
+        def fail_fifth(system, x_prev, t, h, *args):
+            calls.append((t, h))
+            if len(calls) == 5:
+                raise ConvergenceError("injected", 1)
+            return original(system, x_prev, t, h, *args)
+
+        monkeypatch.setattr(transient, "_solve_timestep", fail_fifth)
+        result = rc_step_response()
+        (t_failed, h_failed), (t_retry, h_retry) = calls[4], calls[5]
+        assert h_retry == h_failed / 8.0
+        assert t_retry < t_failed
+        assert t_failed not in result.times
+        assert t_retry in result.times
+        assert result.times[-1] == 5e-6
+
+    def test_newton_failure_everywhere_raises(self, monkeypatch):
+        calls = []
+
+        def always_fail(system, x_prev, t, h, *args):
+            calls.append(h)
+            raise ConvergenceError(f"transient NR failed at t={t:g}", 100)
+
+        monkeypatch.setattr(transient, "_solve_timestep", always_fail)
+        with pytest.raises(ConvergenceError, match="transient NR failed"):
+            rc_step_response()
+        # Cut by 8 from t_step / 4 until below the t_step * 1e-9 floor.
+        assert calls[0] == 5e-8 / 4.0
+        assert calls[-1] >= 5e-8 * 1e-9 > calls[-1] / 8.0
+        assert len(calls) == 10
 
 
 class TestDcSweep:

@@ -152,9 +152,9 @@ def _verify_measurements():
 def test_verify_phase_breakdown(once, benchmark):
     """Verification of cases A/B/C, phase by phase: the wall time of
     ``verify_opamp``, each phase's span time, and the DC-solver,
-    device-model and transient-step counters that explain them.  CI gates the counters
-    against the committed baseline exactly and the ``*_ms`` leaves with
-    ``repro slo --check-bench``."""
+    device-model and transient-step counters that explain them.  CI
+    gates the counters against the committed baseline exactly and the
+    ``*_ms`` leaves with ``repro slo --check-bench``."""
     measurements = once(benchmark, _verify_measurements)
     section = {}
     print()

@@ -232,11 +232,12 @@ def settling_time(
     outside = np.nonzero(np.abs(error) > band)[0]
     if outside.size == 0:
         return float(times[0])
-    k = outside[-1]
+    last_outside = outside[-1]
     # Require at least two trailing in-band samples; a waveform that only
     # touches the band at its very last point has not settled.
-    if k + 2 >= times.size:
+    if last_outside + 2 >= times.size:
         return None
-    edge = math.copysign(band, error[k])
-    fraction = (error[k] - edge) / (error[k] - error[k + 1])
-    return float(times[k] + fraction * (times[k + 1] - times[k]))
+    t0, t1 = times[last_outside], times[last_outside + 1]
+    e0, e1 = error[last_outside], error[last_outside + 1]
+    edge = math.copysign(band, e0)  # the band side the waveform enters from
+    return float(t0 + (e0 - edge) / (e0 - e1) * (t1 - t0))

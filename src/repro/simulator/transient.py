@@ -342,7 +342,9 @@ def _integrate(
         factor = 1.0  # the first two steps have no history to test
         if len(times) >= 3:
             err = _lte_ratio(times, history, t_next, x_next, n_nodes)
-            factor = min(2.0, max(0.25, 0.9 * err ** (-1.0 / 3.0))) if err else 2.0
+            factor = (
+                min(2.0, max(0.25, 0.9 * err ** (-1.0 / 3.0))) if err > 0.0 else 2.0
+            )
             if err > 1.0:
                 h *= factor
                 continue

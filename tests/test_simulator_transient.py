@@ -22,15 +22,14 @@ def rc_circuit():
     return circuit
 
 
-def rc_step_response(**kwargs):
-    """The RC step response over 5 tau = 5 us with at most 50 ns steps."""
+def rc_step_response(t_step=5e-8):
+    """The RC step response over 5 tau = 5 us, input edge at 0.1 us."""
     return transient_analysis(
         rc_circuit(),
         CMOS_5UM,
         t_stop=5e-6,
-        t_step=5e-8,
+        t_step=t_step,
         stimuli={"vin": step_waveform(0.0, 1.0, t_step=1e-7, t_rise=1e-9)},
-        **kwargs,
     )
 
 
@@ -237,13 +236,7 @@ class TestStepControl:
         oracle grid, matches it to well under 1% of the step."""
         adaptive = rc_step_response()
         install_fixed_step(monkeypatch.setattr)
-        oracle = transient_analysis(
-            rc_circuit(),
-            CMOS_5UM,
-            t_stop=5e-6,
-            t_step=5e-10,
-            stimuli={"vin": step_waveform(0.0, 1.0, t_step=1e-7, t_rise=1e-9)},
-        )
+        oracle = rc_step_response(t_step=5e-10)
         resampled = np.interp(
             oracle.times, adaptive.times, adaptive.voltage("out")
         )
